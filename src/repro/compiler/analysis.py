@@ -171,40 +171,6 @@ def levelize(circuit: Circuit) -> Levelization:
     return Levelization(components, levels, cyclic)
 
 
-def source_cones(circuit: Circuit) -> Dict[int, int]:
-    """Forward fanout cones of the reaction *sources* (INPUT and REG nets).
-
-    The cone of a source is the set of nets reachable from it through
-    combinational edges (boolean fanins and EXPR/ACTION data
-    dependencies), including the source itself: exactly the nets whose
-    value can differ between two reactions that differ only in that
-    source.  The sparse reaction mode (:mod:`repro.runtime.fastsched`)
-    re-evaluates the union cone of the sources that actually changed.
-
-    Cones are represented as Python-int bitsets (bit *i* set ⇔ net *i*
-    in the cone) and computed by a single reverse-topological sweep with
-    word-parallel ORs, so plan construction stays cheap even for
-    ~10k-net scores.  Only valid for statically acyclic circuits — the
-    caller must check :attr:`Levelization.acyclic` first.
-    """
-    edges = combinational_edges(circuit)
-    reach: List[int] = [0] * len(circuit.nets)
-    # Tarjan emits sinks first, so the *unreversed* SCC order is already
-    # reverse-topological; on an acyclic graph every component is a
-    # singleton.
-    for component in strongly_connected_components(circuit):
-        net_id = component[0]
-        bits = 1 << net_id
-        for succ in edges[net_id]:
-            bits |= reach[succ]
-        reach[net_id] = bits
-    return {
-        net.id: reach[net.id]
-        for net in circuit.nets
-        if net.kind in (REG, INPUT)
-    }
-
-
 def cycle_warnings(circuit: Circuit) -> List[str]:
     """Human-readable warnings, one per potential causality cycle."""
     warnings = []

@@ -36,12 +36,7 @@ from __future__ import annotations
 from array import array
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.compiler.analysis import (
-    Levelization,
-    combinational_edges,
-    levelize,
-    source_cones,
-)
+from repro.compiler.analysis import Levelization, combinational_edges, levelize
 from repro.compiler.netlist import ACTION, AND, EXPR, INPUT, OR, REG, Circuit, Net
 
 #: `backend="auto"` picks the levelized plan only while straight-line
@@ -89,8 +84,6 @@ class EvalPlan:
         "payload_ids",
         "reg_slot",
         "latch_of_wire",
-        "cones",
-        "cone_sizes",
     )
 
     def __init__(
@@ -117,8 +110,6 @@ class EvalPlan:
         payload_ids: Tuple[int, ...],
         reg_slot: Dict[int, int],
         latch_of_wire: Dict[int, Tuple[Tuple[int, bool, int], ...]],
-        cones: Optional[Dict[int, int]],
-        cone_sizes: Optional[Dict[int, int]],
     ):
         self.circuit = circuit
         self.levelization = levelization
@@ -150,11 +141,6 @@ class EvalPlan:
         self.reg_slot = reg_slot
         #: register input wire -> ((slot, negated, reg_net_id), ...)
         self.latch_of_wire = latch_of_wire
-        #: per-source (INPUT/REG) forward cone bitsets; None when the plan
-        #: has relaxation blocks (sparse mode disabled)
-        self.cones = cones
-        #: per-source cone sizes, for the sparse/full threshold decision
-        self.cone_sizes = cone_sizes
 
     # -- serialization ------------------------------------------------------
 
@@ -184,6 +170,10 @@ class EvalPlan:
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
         code_bytes = state.pop("__code__", None)
+        # Format-2 artifacts from earlier releases also carry the retired
+        # source-cone tables; drop them so stored artifacts still load.
+        state.pop("cones", None)
+        state.pop("cone_sizes", None)
         for name, value in state.items():
             setattr(self, name, value)
         self.payloads = ()
@@ -226,7 +216,8 @@ class EvalPlan:
 
     @property
     def is_pure(self) -> bool:
-        """True when the whole reaction is straight-line (no blocks)."""
+        """True when the whole reaction is straight-line (no blocks) —
+        the precondition for sparse dispatch and the lockstep word plan."""
         return not self.blocks
 
     @property
@@ -240,13 +231,6 @@ class EvalPlan:
             self.circuit.nets
         )
 
-    @property
-    def sparse_eligible(self) -> bool:
-        """Can the sparse dirty-cone mode run this plan?  Requires a pure
-        (fully straight-line) plan: relaxation blocks always take the full
-        sweep, so non-pure plans gain nothing from change tracking."""
-        return self.is_pure and self.cones is not None
-
     # -- introspection ------------------------------------------------------
 
     def describe(self) -> Dict[str, int]:
@@ -258,27 +242,10 @@ class EvalPlan:
             "blocks": len(self.blocks),
         }
 
-    def cone_stats(self) -> Dict[str, float]:
-        """Dirty-cone statistics over the reaction sources (INPUT/REG
-        nets): how much of the circuit one changed source can dirty.
-        Used by ``docs/performance.md`` and the benchmark reports."""
-        if not self.cone_sizes:
-            return {"sources": 0, "mean_cone": 0.0, "max_cone": 0.0,
-                    "mean_cone_fraction": 0.0, "max_cone_fraction": 0.0}
-        sizes = list(self.cone_sizes.values())
-        n = len(self.circuit.nets)
-        return {
-            "sources": len(sizes),
-            "mean_cone": sum(sizes) / len(sizes),
-            "max_cone": float(max(sizes)),
-            "mean_cone_fraction": sum(sizes) / len(sizes) / n,
-            "max_cone_fraction": max(sizes) / n,
-        }
-
     def memory_estimate(self) -> int:
         """Rough size in bytes of the shared plan data (CSR arrays, rank
-        and kind tables, cone sizes, the generated source).  This is paid
-        once per compiled module, however many machines share the plan."""
+        and kind tables, the generated source).  This is paid once per
+        compiled module, however many machines share the plan."""
         import sys
 
         total = 0
@@ -289,11 +256,6 @@ class EvalPlan:
         total += sys.getsizeof(self.source)
         total += sys.getsizeof(self.payload_ids)
         total += sys.getsizeof(self.reg_slot)
-        if self.cone_sizes is not None:
-            total += sys.getsizeof(self.cone_sizes)
-        if self.cones is not None:
-            total += sys.getsizeof(self.cones)
-            total += sum(sys.getsizeof(bits) for bits in self.cones.values())
         return total
 
     def __repr__(self) -> str:
@@ -494,11 +456,6 @@ def build_plan(circuit: Circuit) -> EvalPlan:
         src, neg = reg.inputs[0]
         latch_lists.setdefault(src, []).append((slot, neg, reg.id))
     latch_of_wire = {wire: tuple(items) for wire, items in latch_lists.items()}
-    cones: Optional[Dict[int, int]] = None
-    cone_sizes: Optional[Dict[int, int]] = None
-    if not blocks:
-        cones = source_cones(circuit)
-        cone_sizes = {src: bits.bit_count() for src, bits in cones.items()}
 
     return EvalPlan(
         circuit,
@@ -523,6 +480,4 @@ def build_plan(circuit: Circuit) -> EvalPlan:
         payload_ids,
         reg_slot,
         latch_of_wire,
-        cones,
-        cone_sizes,
     )

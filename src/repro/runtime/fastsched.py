@@ -1,20 +1,25 @@
-"""Levelized reaction backend: straight-line plan execution.
+"""The plan scheduler: compiled straight-line reactions, full or sparse.
 
-:class:`LevelizedScheduler` is a drop-in replacement for the worklist
+:class:`PlanScheduler` is a drop-in replacement for the worklist
 :class:`~repro.runtime.scheduler.Scheduler` (same ``values`` / ``state``
 / ``react`` / ``clear_state`` surface, so the reactive machine and the
-host payloads cannot tell them apart).  Each reaction calls the plan's
-compiled straight-line function, which evaluates every net exactly once
-in level order — no queue, no ternary ⊥ bookkeeping, no per-reaction
-allocation (the values buffer is recycled with a slice copy).
+host payloads cannot tell them apart).  Its *full sweep* calls the
+plan's compiled straight-line function, which evaluates every net
+exactly once in level order — no queue, no ternary ⊥ bookkeeping, no
+per-reaction allocation (the values buffer is recycled with a slice
+copy).
 
 Cyclic components the levelization could not sort (constructive-but-
 cyclic programs) run as embedded *relaxation blocks*: a local ternary
 fixpoint over just those nets, walked over the plan's CSR adjacency
 arrays.  Because the constructive least fixpoint is unique and both
-backends respect the same data-dependency edges, a reaction observes the
+engines respect the same data-dependency edges, a reaction observes the
 identical signal trace — and the identical
-:class:`~repro.errors.CausalityError` — whichever backend runs it.
+:class:`~repro.errors.CausalityError` — whichever engine runs it.
+
+On a pure plan the scheduler can instead dispatch *sparsely*,
+re-evaluating only the nets that can have changed since the previous
+reaction (see :class:`PlanScheduler`).
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 from repro.errors import ReactionBudgetExceeded
 from repro.compiler.netlist import ACTION, AND, EXPR, OR, Net, causality_error
 from repro.compiler.plan import (
-    KIND_ACTION,
     KIND_AND,
     KIND_EXPR,
     KIND_INPUT,
@@ -36,23 +40,57 @@ from repro.compiler.plan import (
 
 UNKNOWN = None
 
-#: the sparse mode falls back to the compiled full straight-line sweep
-#: *before* evaluating anything when the static union dirty cone of the
-#: changed sources covers this fraction of the circuit — at that point
-#: most nets may need recomputing and compiled code wins outright.
-SPARSE_FULL_CONE_FRACTION = 0.9
-
-#: mid-reaction bailout: once the *actually dirty* net count crosses this
+#: sparse bailout: once the *actually dirty* net count crosses this
 #: fraction of the circuit, the sparse evaluator stops heap-propagating
-#: and finishes the reaction as a straight-line tail scan (the static
-#: cone over-approximates; this bounds the cost when it under-predicted).
+#: and finishes the reaction as a straight-line tail scan — the one
+#: bound on a sparse reaction's cost.
 SPARSE_BAILOUT_FRACTION = 0.25
 
 
-class LevelizedScheduler:
-    """Plan-based propagation engine for one circuit (one machine)."""
+class PlanScheduler:
+    """Plan-based propagation engine for one circuit (one machine).
 
-    def __init__(self, plan: EvalPlan, host: Any):
+    With ``sparse`` off, every reaction is the compiled full sweep.
+    With it on — honoured only for a pure plan, since relaxation blocks
+    always take the full sweep — the scheduler keeps the previous
+    reaction's net values and re-evaluates only the *dirty cone*:
+
+    * **changed inputs** — INPUT nets whose presence differs from the
+      previous reaction (detected by comparing the input id sets);
+    * **changed registers** — REG nets whose latched state differs from
+      the value they showed last reaction (recorded at latch time);
+    * **hot payloads** — every EXPR/ACTION net whose enable is currently
+      true.  Payloads re-run each instant in the full sweep (they read
+      host state — signal values, ``pre``, frame vars, counters — that
+      can change without any boolean net changing, and ACTION effects
+      must repeat), so sparse mode re-fires exactly the same set.
+
+    Dirty nets are evaluated in the plan's straight-line rank order via
+    a min-heap, and a net's fanout (boolean consumers *and* data-dep
+    readers, from the plan's CSR arrays) joins the heap only when its
+    value actually changed — so work is proportional to real activity,
+    not circuit size.  Payloads fire under exactly the same conditions
+    and in exactly the same order as the full sweep, which makes traces
+    and host-effect interleavings byte-identical (checked by
+    ``tests/test_backend_parity.py``).
+
+    The heap loop counts the nets it actually dirtied, and past
+    :data:`SPARSE_BAILOUT_FRACTION` of the circuit it degrades to a
+    straight-line *tail scan* over the remaining ranks, so a sparse
+    reaction never costs more than a full sweep.  The tail scan, unlike
+    restarting the compiled sweep, is safe after payloads have already
+    fired: every net still gets evaluated exactly once, in the
+    straight-line order.
+
+    The first reaction, and the first after :meth:`clear_state` or a
+    failed reaction, is a full sweep that rebuilds the change-tracking
+    state.  :attr:`last_dirty` holds the net ids the latest reaction
+    evaluated (``None`` after a full sweep), which the reactive machine
+    uses to update signal statuses incrementally; :attr:`sparse_reactions`
+    and :attr:`full_reactions` count the two kinds of reaction.
+    """
+
+    def __init__(self, plan: EvalPlan, host: Any, sparse: bool = False):
         self.plan = plan
         self.circuit = plan.circuit
         self.host = host
@@ -73,6 +111,24 @@ class LevelizedScheduler:
         self.budget: Optional[int] = None
         #: net evaluations spent by the last (possibly aborted) reaction
         self.last_evaluated: int = 0
+        #: sparse dispatch, fixed for the scheduler's life
+        self.sparse = sparse and plan.is_pure
+        #: net ids evaluated by the last reaction; None = full sweep
+        self.last_dirty: Optional[List[int]] = None
+        #: count of sparse vs full-sweep reactions (introspection)
+        self.sparse_reactions = 0
+        self.full_reactions = 0
+        if self.sparse:
+            self._bail_limit = max(int(SPARSE_BAILOUT_FRACTION * n), 64)
+            #: INPUT net ids that were present last reaction
+            self._prev_present: set = set()
+            #: REG net ids whose state changed at the last latch
+            self._dirty_regs: List[int] = []
+            #: EXPR/ACTION net ids whose enable is currently true
+            self._hot: set = set()
+            #: heap-membership flags, reused across reactions
+            self._queued = bytearray(n)
+            self._need_full = True
 
     # ------------------------------------------------------------------
 
@@ -81,6 +137,33 @@ class LevelizedScheduler:
 
     def react(self, input_values: Dict[int, bool]) -> None:
         """Run one reaction (same contract as the worklist scheduler)."""
+        if not self.sparse:
+            self._sweep(input_values)
+            return
+        present = set(input_values)
+        if self._need_full:
+            self._react_full(input_values, present)
+            return
+        changed_inputs = present.symmetric_difference(self._prev_present)
+        self._need_full = True  # stays set if a payload raises mid-cone
+        self._react_sparse(input_values, changed_inputs)
+        self._prev_present = present
+        self._need_full = False
+        self.sparse_reactions += 1
+
+    def clear_state(self) -> None:
+        """Reset all registers to their boot values (machine reset)."""
+        self.state[:] = [net.init for net in self._registers]
+        if self.sparse:
+            self._need_full = True
+            # Defensive: no queued marker may survive a reset/restore — a
+            # stale one would exclude its net from incremental reactions.
+            self._queued[:] = bytes(len(self._queued))
+
+    def _sweep(self, input_values: Dict[int, bool]) -> None:
+        """The full sweep both modes share: blank the values, run the
+        compiled plan, and when a relaxation block failed to converge
+        finish the fixpoint and raise the causality error."""
         values = self.values
         self._check_static_budget(len(values))
         values[:] = self._blank
@@ -94,10 +177,7 @@ class LevelizedScheduler:
         )
         if not ok:
             self._diverge()
-
-    def clear_state(self) -> None:
-        """Reset all registers to their boot values (machine reset)."""
-        self.state[:] = [net.init for net in self._registers]
+        self.full_reactions += 1
 
     def _check_static_budget(self, evaluations: int) -> None:
         """Full sweeps evaluate a statically known net count, so the
@@ -218,144 +298,16 @@ class LevelizedScheduler:
             pass
         raise causality_error(self.circuit, self.values)
 
-
-class SparseScheduler(LevelizedScheduler):
-    """Dirty-cone reaction backend: evaluate only what can have changed.
-
-    The full straight-line sweep recomputes every net every reaction,
-    even though in steady state almost nothing changes — a 10k-net Skini
-    score pays the whole circuit to process one audience tap.  This
-    scheduler keeps the previous reaction's net values and re-evaluates
-    only the *dirty cone*:
-
-    * **changed inputs** — INPUT nets whose presence differs from the
-      previous reaction (detected by comparing the input id sets);
-    * **changed registers** — REG nets whose latched state differs from
-      the value they showed last reaction (recorded at latch time);
-    * **hot payloads** — every EXPR/ACTION net whose enable is currently
-      true.  Payloads re-run each instant in the full sweep (they read
-      host state — signal values, ``pre``, frame vars, counters — that
-      can change without any boolean net changing, and ACTION effects
-      must repeat), so sparse mode re-fires exactly the same set.
-
-    Dirty nets are evaluated in the plan's straight-line rank order via
-    a min-heap, and a net's fanout (boolean consumers *and* data-dep
-    readers, from the plan's CSR arrays) joins the heap only when its
-    value actually changed — so work is proportional to real activity,
-    not circuit size.  Payloads fire under exactly the same conditions
-    and in exactly the same order as the full sweep, which makes traces
-    and host-effect interleavings byte-identical (checked by
-    ``tests/test_backend_parity.py``).
-
-    Two fallbacks bound the cost when a lot *did* change.  Statically,
-    when the union forward cone of the changed sources covers more than
-    :data:`SPARSE_FULL_CONE_FRACTION` of the circuit, the reaction takes
-    the compiled full sweep outright.  Dynamically — because static
-    reachability over-approximates (in control-heavy circuits almost
-    every net is reachable from any input, while a typical reaction
-    changes a handful) — the heap loop counts the nets it actually
-    dirtied, and past :data:`SPARSE_BAILOUT_FRACTION` of the circuit it
-    degrades to a straight-line *tail scan* over the remaining ranks.
-    The tail scan, unlike restarting the compiled sweep, is safe after
-    payloads have already fired: every net still gets evaluated exactly
-    once, in the straight-line order.
-
-    Plans with cyclic relaxation blocks always take the full sweep
-    (``plan.sparse_eligible`` is False), so causality errors are reported
-    identically to the levelized backend.  :attr:`last_dirty` exposes the
-    evaluated net ids of the latest reaction (``None`` after a full
-    sweep) — the reactive machine uses it to update signal statuses
-    incrementally.
-    """
-
-    def __init__(self, plan: EvalPlan, host: Any):
-        super().__init__(plan, host)
-        self._sparse_ok = plan.sparse_eligible
-        n = len(plan.circuit.nets)
-        self._full_limit = SPARSE_FULL_CONE_FRACTION * n
-        self._bail_limit = max(int(SPARSE_BAILOUT_FRACTION * n), 64)
-        #: net ids evaluated by the last reaction; None = full sweep
-        self.last_dirty: Optional[List[int]] = None
-        #: INPUT net ids that were present last reaction
-        self._prev_present: set = set()
-        #: REG net ids whose state changed at the last latch
-        self._dirty_regs: List[int] = []
-        #: EXPR/ACTION net ids whose enable is currently true
-        self._hot: set = set()
-        #: heap-membership flags, reused across reactions
-        self._queued = bytearray(n)
-        self._need_full = True
-        #: count of sparse vs full-sweep reactions (introspection)
-        self.sparse_reactions = 0
-        self.full_reactions = 0
-
     # ------------------------------------------------------------------
-
-    def react(self, input_values: Dict[int, bool]) -> None:
-        if not self._sparse_ok:
-            self.full_reactions += 1
-            self.last_dirty = None
-            super().react(input_values)
-            return
-        present = set(input_values)
-        if self._need_full:
-            self._react_full(input_values, present)
-            return
-        changed_inputs = present.symmetric_difference(self._prev_present)
-        plan = self.plan
-        cone_sizes = plan.cone_sizes
-        estimate = len(self._hot)
-        for net_id in changed_inputs:
-            estimate += cone_sizes[net_id]
-        for net_id in self._dirty_regs:
-            estimate += cone_sizes[net_id]
-        if estimate > self._full_limit:
-            # The cheap sum over-counts shared cone regions; only compute
-            # the exact union (bitset OR) when the sum looks alarming.
-            cones = plan.cones
-            union = 0
-            for net_id in changed_inputs:
-                union |= cones[net_id]
-            for net_id in self._dirty_regs:
-                union |= cones[net_id]
-            if union.bit_count() + len(self._hot) > self._full_limit:
-                self._react_full(input_values, present)
-                return
-        self._need_full = True  # stays set if a payload raises mid-cone
-        self._react_sparse(input_values, changed_inputs)
-        self._prev_present = present
-        self._need_full = False
-        self.sparse_reactions += 1
-
-    def clear_state(self) -> None:
-        super().clear_state()
-        self._need_full = True
-        # Defensive: no queued marker may survive a reset/restore — a
-        # stale one would exclude its net from incremental reactions.
-        self._queued[:] = bytes(len(self._queued))
-
+    # sparse dispatch
     # ------------------------------------------------------------------
 
     def _react_full(self, input_values: Dict[int, bool], present: set) -> None:
-        """Compiled full sweep, then rebuild the sparse tracking state.
-
-        Unlike the levelized backend the values buffer is *not* blanked:
-        a pure plan assigns every net unconditionally, and between
-        reactions the buffer must keep the previous values for change
-        detection anyway.
-        """
-        self._need_full = True
+        """The shared full sweep, then a rebuild of the change-tracking
+        state from its values."""
+        self._sweep(input_values)
         plan = self.plan
         values = self.values
-        self._check_static_budget(len(values))
-        plan.fn(
-            values,
-            self.state,
-            plan.payloads,
-            self.host,
-            input_values.get,
-            self._blocks,
-        )
         # Registers: the sweep showed V[reg] = old state, then latched the
         # new state, so a plain compare yields next reaction's dirty set.
         state = self.state
@@ -377,7 +329,6 @@ class SparseScheduler(LevelizedScheduler):
         self._prev_present = present
         self.last_dirty = None
         self._need_full = False
-        self.full_reactions += 1
 
     def _react_sparse(self, input_values: Dict[int, bool], changed_inputs: set) -> None:
         plan = self.plan

@@ -235,15 +235,15 @@ class LockstepFleet:
         for slot, value in enumerate(machine._scheduler.state):
             if value:
                 R[slot] |= mask
+        machine._rebuild_tracking()
         NOW, PRE = self.NOW, self.PRE
-        active: Set[int] = set()
-        for sig in machine._signals:
-            if sig.now:
-                NOW[sig.slot] |= mask
-            if sig.pre:
-                PRE[sig.slot] |= mask
-            if sig.now or sig.pre or sig.emitted or sig.nowval is not sig.preval:
-                active.add(sig.slot)
+        for slot in machine._present_slots:
+            NOW[slot] |= mask
+        signals = machine._signals
+        active = set(machine._active_slots)
+        for slot in active:  # a signal with `pre` set is never inert
+            if signals[slot].pre:
+                PRE[slot] |= mask
         self._actives[bit] = active
         if active:
             self._active_bits |= mask
@@ -281,7 +281,7 @@ class LockstepFleet:
     def demote(self, machine: ReactiveMachine, cause: str) -> None:
         """Export ``machine``'s bits back into its scalar scheduler and
         signal-tracking sets (the ``restore()`` pattern: ``clear_state``
-        flags the sparse backend for a rebuilding full sweep), then zero
+        flags sparse dispatch for a rebuilding full sweep), then zero
         its bit in every plane so the slot can be reused cleanly."""
         bit = machine._lockstep_bit
         mask = 1 << bit
@@ -297,16 +297,7 @@ class LockstepFleet:
         for slot in range(len(NOW)):
             NOW[slot] &= inv
             PRE[slot] &= inv
-        present: Set[int] = set()
-        active: Set[int] = set()
-        for sig in machine._signals:
-            if sig.now:
-                present.add(sig.slot)
-            if sig.now or sig.pre or sig.emitted or sig.nowval is not sig.preval:
-                active.add(sig.slot)
-        machine._present_slots = present
-        machine._active_slots = active
-        machine._touched_slots.clear()
+        machine._rebuild_tracking()
         del self._member_of[bit]
         del self._actives[bit]
         self._resident &= inv

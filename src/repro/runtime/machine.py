@@ -41,7 +41,7 @@ from repro.lang import ast as A
 from repro.lang import expr as E
 from repro.compiler.compile import CompiledModule, CompileOptions, compile_cached
 from repro.runtime.execblock import ExecFailure, ExecHandle, ExecState
-from repro.runtime.fastsched import LevelizedScheduler, SparseScheduler
+from repro.runtime.fastsched import PlanScheduler
 from repro.runtime.ingress import Mailbox
 from repro.runtime.journal import JournalEntry
 from repro.runtime.scheduler import Scheduler
@@ -72,8 +72,8 @@ def snapshot_checksum(payload: Mapping) -> str:
     data = json.dumps(body, sort_keys=True, default=repr)
     return hashlib.sha256(data.encode("utf-8")).hexdigest()
 
-#: Below this circuit size the compiled full sweep is cheaper than the
-#: sparse mode's per-reaction bookkeeping (heap, dirty sets, incremental
+#: Below this circuit size the compiled full sweep is cheaper than sparse
+#: dispatch's per-reaction bookkeeping (heap, dirty sets, incremental
 #: statuses), so ``auto`` keeps small machines on the levelized backend.
 #: Measured crossover on steady-state Skini scores is ~250 nets.
 SPARSE_MIN_NETS = 256
@@ -210,20 +210,19 @@ class ReactiveMachine:
         circuit = self.compiled.circuit
         #: which reaction backend runs this machine ("sparse", "levelized"
         #: or "worklist"); `backend="auto"` picks sparse dirty-cone
-        #: evaluation for pure straight-line plans, the levelized full
-        #: sweep while straight-line statements dominate, and the worklist
-        #: otherwise
+        #: evaluation for large pure straight-line plans, the levelized
+        #: full sweep while straight-line statements dominate, and the
+        #: worklist otherwise.  "sparse" and "levelized" are the plan
+        #: scheduler with its sparse dispatch on or off.
         self.backend = self._select_backend(backend)
-        if self.backend == "sparse":
-            self._scheduler = SparseScheduler(
-                self.compiled.evaluation_plan(), self
-            )
-        elif self.backend == "levelized":
-            self._scheduler = LevelizedScheduler(
-                self.compiled.evaluation_plan(), self
-            )
-        else:
+        if self.backend == "worklist":
             self._scheduler = Scheduler(circuit, self)
+        else:
+            self._scheduler = PlanScheduler(
+                self.compiled.evaluation_plan(),
+                self,
+                sparse=self.backend == "sparse",
+            )
         self._sparse = self.backend == "sparse"
         # Incremental signal bookkeeping (sparse backend): the slots whose
         # RuntimeSignal is not inert (needs begin_instant), the slots
@@ -299,7 +298,7 @@ class ReactiveMachine:
         if backend != "auto":
             return backend
         plan = self.compiled.evaluation_plan()
-        if plan.sparse_eligible and len(plan.circuit.nets) >= SPARSE_MIN_NETS:
+        if plan.is_pure and len(plan.circuit.nets) >= SPARSE_MIN_NETS:
             return "sparse"
         return "levelized" if plan.auto_eligible else "worklist"
 
@@ -632,8 +631,9 @@ class ReactiveMachine:
         values = self._scheduler.values
         dirty = self._scheduler.last_dirty
         if dirty is None:
-            # Full sweep (first reaction, large cone, or fallback plan):
-            # classic post-processing, rebuilding the tracking sets.
+            # Full sweep (first reaction after boot, restore or a failed
+            # instant, or a plan with relaxation blocks): classic
+            # post-processing, rebuilding the tracking sets.
             return self._finish_full_sweep(values)
 
         # Statuses: only signals whose status net was re-evaluated can
@@ -935,24 +935,26 @@ class ReactiveMachine:
         signals = snap["signals"]
         counters = snap["counters"]
         execs = snap["execs"]
+        # Every arity check precedes the first mutation: a refused payload
+        # leaves the machine exactly as it was.
         if (
             len(signals) != len(self._signals)
             or len(counters) != len(self._counters)
             or len(execs) != len(self._execs)
         ):
             raise SnapshotError("snapshot state arity does not match this circuit")
+        if len(registers) != len(self._scheduler.state):
+            raise SnapshotError(
+                f"snapshot has {len(registers)} registers, circuit has "
+                f"{len(self._scheduler.state)}"
+            )
 
-        # clear_state() also flags the sparse backend for a full sweep on
-        # the next reaction, which reconstructs its dirty-set/net-value
-        # caches from the restored registers — that state is derived, not
+        # clear_state() also flags sparse dispatch for a full sweep on the
+        # next reaction, which reconstructs its dirty-set/net-value caches
+        # from the restored registers — that state is derived, not
         # serialized.
         self._scheduler.clear_state()
-        state = self._scheduler.state
-        if len(registers) != len(state):
-            raise SnapshotError(
-                f"snapshot has {len(registers)} registers, circuit has {len(state)}"
-            )
-        state[:] = [bool(value) for value in registers]
+        self._scheduler.state[:] = [bool(value) for value in registers]
 
         for signal, (now, pre, nowval, preval, emitted) in zip(self._signals, signals):
             signal.now = bool(now)
@@ -981,10 +983,15 @@ class ReactiveMachine:
         self.terminated = bool(snap["terminated"])
         self.reaction_count = int(snap["reaction_count"])
         self._deferred.clear()
+        self._rebuild_tracking()
 
-        # Rebuild the sparse backend's signal tracking sets from the
-        # restored signal states (conservative: a slot is active iff it
-        # needs begin_instant next reaction).
+    def _rebuild_tracking(self) -> None:
+        """Rebuild the incremental signal-tracking sets from the signal
+        states, after something other than a reaction rewrote them
+        (:meth:`restore`, lockstep promotion and demotion): a slot is
+        present iff its signal is, and active iff its signal is not inert,
+        i.e. needs ``begin_instant`` at the next instant.  The per-instant
+        paths keep the sets current incrementally instead."""
         present: set = set()
         active: set = set()
         for signal in self._signals:
@@ -999,7 +1006,7 @@ class ReactiveMachine:
                 active.add(signal.slot)
         self._present_slots = present
         self._active_slots = active
-        self._touched_slots = set()
+        self._touched_slots.clear()
 
     def replay(self, entries: Any) -> List[ReactionResult]:
         """Deterministically re-run journaled instants against this

@@ -12,17 +12,27 @@ each step doubled, so the sparse mode is exercised on reactions with
 apps double as end-to-end parity fixtures, and the ``auto`` policy is
 pinned: sparse for large acyclic circuits (>= ``SPARSE_MIN_NETS``),
 levelized for small acyclic ones and the (cyclic-but-constructive)
-pillbox, worklist fallback for heavily cyclic circuits.
+pillbox, worklist fallback for heavily cyclic circuits.  A wide-fanout
+program drives sparse reactions into the tail-scan bailout, the one
+bound on a sparse reaction's cost.
 """
 
 import pytest
 from hypothesis import given, settings, HealthCheck
 
-from repro import CausalityError, MachineError, ReactiveMachine, parse_module
+from repro import (
+    CausalityError,
+    MachineError,
+    MachineSupervisor,
+    ReactionBudgetExceeded,
+    ReactiveMachine,
+    parse_module,
+)
 from repro.apps.login import build_login_machine
 from repro.apps.pillbox import PillboxApp
 from repro.apps.skini import Audience, Performance, make_paper_score
 from repro.host import AuthService, SimulatedLoop
+from repro.runtime.fastsched import SPARSE_BAILOUT_FRACTION, PlanScheduler
 from tests.strategies import input_traces, pure_modules
 
 BACKENDS = ("worklist", "levelized", "sparse")
@@ -34,26 +44,27 @@ _SETTINGS = dict(
 )
 
 
+def _observe_step(machine, result):
+    signals = tuple(
+        (name, view.now, view.pre, view.nowval, view.preval)
+        for name in sorted(machine.compiled.circuit.interface)
+        for view in (machine.signal(name),)
+    )
+    return (
+        dict(result),
+        dict(result.statuses),
+        signals,
+        result.paused,
+        result.terminated,
+    )
+
+
 def _run(module, trace, backend):
     machine = ReactiveMachine(module, backend=backend)
-    iface = sorted(machine.compiled.circuit.interface)
     outputs = []
     for step in trace:
         result = machine.react({name: True for name in step})
-        signals = tuple(
-            (name, view.now, view.pre, view.nowval, view.preval)
-            for name in iface
-            for view in (machine.signal(name),)
-        )
-        outputs.append(
-            (
-                dict(result),
-                dict(result.statuses),
-                signals,
-                result.paused,
-                result.terminated,
-            )
-        )
+        outputs.append(_observe_step(machine, result))
         if machine.terminated:
             break
     return outputs
@@ -104,15 +115,17 @@ class TestAutoPolicy:
         assert machine.backend == "worklist"
 
     def test_small_acyclic_program_stays_levelized(self):
-        """Sparse-eligible but tiny: the full sweep is cheaper than the
-        sparse bookkeeping, so ``auto`` applies the SPARSE_MIN_NETS floor
-        (the sparse backend itself still works when asked for)."""
+        """Pure but tiny: the full sweep is cheaper than the sparse
+        bookkeeping, so ``auto`` applies the SPARSE_MIN_NETS floor (sparse
+        dispatch itself still works when asked for)."""
         module = parse_module("module M(in I, out X) { if (I.now) { emit X } }")
         machine = ReactiveMachine(module)  # backend="auto"
-        assert machine.compiled.evaluation_plan().sparse_eligible
+        assert machine.compiled.evaluation_plan().is_pure
         assert machine.backend == "levelized"
+        assert not machine._scheduler.sparse
         explicit = ReactiveMachine(module, backend="sparse")
         assert explicit.backend == "sparse"
+        assert explicit._scheduler.sparse
         assert dict(explicit.react({"I": True})) == dict(
             ReactiveMachine(module, backend="worklist").react({"I": True})
         )
@@ -123,7 +136,8 @@ class TestAutoPolicy:
         score = make_large_score(sections=4, groups_per_section=5, patterns_per_group=6)
         perf = Performance(score, Audience(size=0))  # backend="auto"
         assert perf.machine.backend == "sparse"
-        assert perf.machine.compiled.evaluation_plan().sparse_eligible
+        assert perf.machine.compiled.evaluation_plan().is_pure
+        assert perf.machine._scheduler.sparse
 
     def test_cyclic_program_same_error_all_backends(self):
         module = parse_module(
@@ -145,6 +159,98 @@ class TestAutoPolicy:
         module = parse_module("module M(out X) { emit X }")
         with pytest.raises(MachineError):
             ReactiveMachine(module, backend="turbo")
+
+    def test_sparse_dispatch_off_for_relaxation_blocks(self):
+        """A plan with relaxation blocks always takes the full sweep, even
+        when "sparse" is asked for (the backend name is kept)."""
+        machine = PillboxApp(backend="sparse").machine
+        assert not machine.compiled.evaluation_plan().is_pure
+        assert machine.backend == "sparse"
+        assert not machine._scheduler.sparse
+
+
+def _wide_source(fan=100, quiet=200):
+    """A pure program in which toggling ``I`` flips ``fan`` output
+    statuses at once — well past SPARSE_BAILOUT_FRACTION of the circuit —
+    while ``J`` guards a larger region that stays quiet until asked.
+    The valued ``N`` re-fires every instant ``I`` stays present."""
+    outs = [f"out A{i}" for i in range(fan)] + [f"out B{i}" for i in range(quiet)]
+    wide = " ".join(f"emit A{i};" for i in range(fan))
+    calm = " ".join(f"emit B{i};" for i in range(quiet))
+    return (
+        f"module Wide(in I, in J, out N = 0, {', '.join(outs)}) {{ loop {{ "
+        f"if (I.now) {{ emit N(N.preval + 1); {wide} }} "
+        f"if (J.now) {{ {calm} }} yield }} }}"
+    )
+
+
+WIDE_TRACE = [[], [], ["I"], ["I"], [], ["J"], ["I", "J"], [], [], ["I"]]
+
+
+class TestSparseBailout:
+    """Past SPARSE_BAILOUT_FRACTION of actually-dirty nets a sparse
+    reaction finishes as a straight-line tail scan.  It must stay
+    byte-identical to the full sweep, and a deadline tripped inside the
+    tail scan must roll back like any other failed instant."""
+
+    @pytest.fixture
+    def tail_scans(self, monkeypatch):
+        starts = []
+        tail_scan = PlanScheduler._tail_scan
+
+        def spy(self, start_rank, *args):
+            starts.append(start_rank)
+            return tail_scan(self, start_rank, *args)
+
+        monkeypatch.setattr(PlanScheduler, "_tail_scan", spy)
+        return starts
+
+    def test_bailed_reactions_match_levelized(self, tail_scans):
+        module = parse_module(_wide_source())
+        full = ReactiveMachine(module, backend="levelized")
+        sparse = ReactiveMachine(module, backend="sparse")
+        scheduler = sparse._scheduler
+        nets = len(sparse.compiled.circuit.nets)
+        # large enough that the fraction, not the 64-net floor, binds
+        assert SPARSE_BAILOUT_FRACTION * nets > 64
+        bailed = 0
+        for step in WIDE_TRACE:
+            inputs = {name: True for name in step}
+            scans = len(tail_scans)
+            expected = _observe_step(full, full.react(inputs))
+            assert _observe_step(sparse, sparse.react(inputs)) == expected
+            assert sparse.state_digest() == full.state_digest()
+            if len(tail_scans) > scans:
+                bailed += 1
+                assert len(scheduler.last_dirty) > SPARSE_BAILOUT_FRACTION * nets
+        assert bailed >= 3
+        assert scheduler.sparse_reactions == len(WIDE_TRACE) - 1
+
+    def test_budget_abort_in_tail_scan_rolls_back(self, tail_scans):
+        module = parse_module(_wide_source())
+        machine = ReactiveMachine(module, backend="sparse")
+        supervisor = MachineSupervisor(machine, max_retries=0)
+        for _ in range(3):
+            supervisor.react({})
+        before = machine.snapshot()
+        digest = machine.state_digest()
+        limit = machine._scheduler._bail_limit
+        with pytest.raises(ReactionBudgetExceeded, match="tail-scan") as exc:
+            # the heap loop reaches the bailout inside this budget, the
+            # tail scan cannot finish inside it
+            supervisor.react({"I": True}, budget=limit + 1)
+        assert exc.value.evaluated == limit
+        assert tail_scans
+        assert machine.state_digest() == digest
+        assert supervisor.stats["rollbacks"] == 1
+        # the rolled-back machine continues exactly like a full sweep
+        reference = ReactiveMachine(module, backend="levelized")
+        reference.restore(before)
+        for step in WIDE_TRACE:
+            inputs = {name: True for name in step}
+            expected = _observe_step(reference, reference.react(inputs))
+            assert _observe_step(machine, supervisor.react(inputs)) == expected
+        assert machine.state_digest() == reference.state_digest()
 
 
 ACCOUNTS = {"alice": "secret"}

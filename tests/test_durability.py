@@ -131,14 +131,31 @@ class TestSnapshotRestore:
             other.restore(snap)
 
     def test_tampered_payloads_rejected(self):
-        m = self._machine()
-        snap = m.snapshot()
-        with pytest.raises(SnapshotError, match="format"):
-            m.restore({**snap, "format": 999})
-        with pytest.raises(SnapshotError):
-            m.restore({**snap, "registers": snap["registers"][:-1]})
-        with pytest.raises(SnapshotError):
-            m.restore("not a snapshot")
+        """Every refusal leaves the machine's state untouched — including
+        a checksum-less (pre-checksum, accepted by design) payload whose
+        arity is off, which is only caught by the shape checks."""
+        for backend in BACKENDS:
+            m = self._machine(backend)
+            for _ in range(3):
+                m.react({"tick": True})
+            snap = m.snapshot()
+            digest = m.state_digest()
+            legacy = {key: value for key, value in snap.items() if key != "checksum"}
+            tampered = [
+                {**snap, "format": 999},
+                {**snap, "registers": snap["registers"][:-1]},
+                "not a snapshot",
+                {**legacy, "registers": snap["registers"][:-1]},
+                {**legacy, "counters": snap["counters"] + [0]},
+            ]
+            for payload in tampered:
+                with pytest.raises(SnapshotError):
+                    m.restore(payload)
+                assert m.state_digest() == digest, (backend, payload)
+            with pytest.raises(SnapshotError, match="format"):
+                m.restore(tampered[0])
+            with pytest.raises(SnapshotError, match="registers"):
+                m.restore(tampered[3])
 
     def test_snapshot_refused_mid_reaction(self):
         m = self._machine()

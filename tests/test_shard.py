@@ -75,6 +75,43 @@ class TestPlanArtifact:
         with pytest.raises(ShardError):
             hydrate_plan_artifact(b"not a pickle")
 
+    def test_stored_artifact_with_retired_plan_fields_hydrates(
+        self, tmp_path, monkeypatch
+    ):
+        """Format-2 artifacts written while evaluation plans still carried
+        per-source cone tables (``cones``/``cone_sizes``) stay loadable
+        from an ArtifactStore, embedded plan included."""
+        from repro.compiler.compile import ArtifactStore, clear_hydrate_cache
+        from repro.compiler.netlist import INPUT, REG
+        from repro.compiler.plan import EvalPlan
+
+        getstate = EvalPlan.__getstate__
+
+        def with_cone_tables(plan):
+            state = getstate(plan)
+            sources = [
+                net.id for net in plan.circuit.nets if net.kind in (INPUT, REG)
+            ]
+            state["cones"] = {net_id: 1 << net_id for net_id in sources}
+            state["cone_sizes"] = {net_id: 1 for net_id in sources}
+            return state
+
+        module = participant_module()
+        store = ArtifactStore(str(tmp_path))
+        with monkeypatch.context() as patch:
+            patch.setattr(EvalPlan, "__getstate__", with_cone_tables)
+            key = store.put(module)
+        clear_hydrate_cache()
+        try:
+            compiled = store.load(key)
+            assert compiled._plan is not None  # the embedded plan, not a recompile
+            for backend in BACKENDS:
+                _, expected = drive_oracle(module, PARTICIPANT_SCRIPT, backend)
+                _, hydrated = drive_oracle(compiled, PARTICIPANT_SCRIPT, backend)
+                assert hydrated == expected
+        finally:
+            clear_hydrate_cache()
+
 
 # ---------------------------------------------------------------------------
 # in-process worker logic (no child process)
