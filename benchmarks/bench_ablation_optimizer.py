@@ -5,10 +5,9 @@ The paper's compiler "balances simplicity of compilation and execution
 with decent speed"; our optimizer is one of the knobs behind that
 trade-off, so we quantify what it buys."""
 
-import time
-
 import pytest
 
+import harness
 from repro import CompileOptions, ReactiveMachine, compile_module
 from repro.apps.login import login_table
 from repro.apps.pillbox import pillbox_table
@@ -61,21 +60,13 @@ def test_optimizer_shrinks_real_applications():
 def test_optimizer_latency_not_worse():
     """Optimized circuits must react at least as fast (median over
     repeated reactions) as raw ones on the same workload."""
-
-    def median_ms(optimize):
+    medians = []
+    for optimize in (False, True):
         compiled = compile_module(
             linear_module(32), options=CompileOptions(optimize=optimize)
         )
         machine = ReactiveMachine(compiled)
         inputs = drive_steady_state(machine)
-        samples = []
-        for _ in range(40):
-            start = time.perf_counter()
-            machine.react(inputs)
-            samples.append(time.perf_counter() - start)
-        samples.sort()
-        return samples[len(samples) // 2]
-
-    raw = median_ms(False)
-    optimized = median_ms(True)
+        medians.append(harness.median_ms(machine.react, inputs, rounds=40))
+    raw, optimized = medians
     assert optimized < raw * 1.2, (raw, optimized)

@@ -22,10 +22,9 @@ Link-template cache hit rates ride along for the report.
 """
 
 import gc
-import json
 import time
-from pathlib import Path
 
+import harness
 from repro import CompileOptions, ReactiveMachine, clear_compile_cache, compile_module
 from repro.compiler.compile import (
     ArtifactStore,
@@ -36,8 +35,6 @@ from repro.compiler.link import clear_link_cache, link_cache_stats
 from repro.syntax.parser import parse_program
 from workloads import modular_score, modular_score_source
 
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_compile.json"
-
 INSTANCES = 64
 STAGES = 2
 LINK_GATE = 5.0
@@ -46,25 +43,13 @@ ROUNDS = 5
 DRIVE_INSTANTS = 24
 
 
-def _update_bench_json(section, payload):
-    """Merge one section into BENCH_compile.json (tests may run alone)."""
-    data = {}
-    if BENCH_JSON.exists():
-        try:
-            data = json.loads(BENCH_JSON.read_text())
-        except ValueError:
-            data = {}
-    data[section] = payload
-    BENCH_JSON.write_text(json.dumps(data, indent=2) + "\n")
-
-
 def _clear_all_caches():
     clear_compile_cache()
     clear_link_cache()
     clear_hydrate_cache()
 
 
-def _best_compile_ms(entry, table, options, rounds=ROUNDS):
+def best_compile_ms(entry, table, options, rounds=ROUNDS):
     # process_time: the compile is pure CPU, and the gate should measure
     # the compiler, not whatever else the CI host is running.  GC is off
     # inside the timed region — a generational collection over the test
@@ -101,10 +86,10 @@ def test_link_speedup():
     """64 instantiations of one module: linked vs inlined compile."""
     entry, table = modular_score(INSTANCES, STAGES)
 
-    inline_ms, inline_compiled = _best_compile_ms(
+    inline_ms, inline_compiled = best_compile_ms(
         entry, table, CompileOptions()
     )
-    link_ms, link_compiled = _best_compile_ms(
+    link_ms, link_compiled = best_compile_ms(
         entry, table, CompileOptions(link=True)
     )
     speedup = inline_ms / link_ms
@@ -114,8 +99,8 @@ def test_link_speedup():
     compile_module(entry, table, CompileOptions(link=True))
     stats = link_cache_stats()
 
-    _update_bench_json(
-        "link",
+    harness.write(
+        "compile", "link",
         {
             "instances": INSTANCES,
             "stages": STAGES,
@@ -127,8 +112,8 @@ def test_link_speedup():
             "segments": len(link_compiled.circuit.segments),
         },
     )
-    _update_bench_json(
-        "link_cache",
+    harness.write(
+        "compile", "link_cache",
         {
             "hits": stats["hits"],
             "misses": stats["misses"],
@@ -190,8 +175,8 @@ def test_cold_start_from_artifact_store(tmp_path):
     speedup = fresh_ms / store_ms
 
     artifact_bytes = len(store.get(fingerprint))
-    _update_bench_json(
-        "cold_start",
+    harness.write(
+        "compile", "cold_start",
         {
             "instances": INSTANCES,
             "stages": STAGES,
@@ -235,8 +220,8 @@ def test_linked_inlined_parity_smoke(tmp_path):
     assert digests["linked"] == digests["hydrated"], (
         "hydrated machine state diverged from the linked compile"
     )
-    _update_bench_json(
-        "parity",
+    harness.write(
+        "compile", "parity",
         {
             "instants": DRIVE_INSTANTS,
             "trace_equal": True,

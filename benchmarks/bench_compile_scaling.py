@@ -2,13 +2,11 @@
 "the compiling time of a HipHop.js program is roughly proportional to its
 source code size")."""
 
-import gc
-import time
-
 import pytest
 
-from repro import CompileOptions, ReactiveMachine, clear_compile_cache, compile_module
-from repro.compiler.link import clear_link_cache
+import harness
+from bench_compile import best_compile_ms
+from repro import CompileOptions, ReactiveMachine, compile_module
 from workloads import fit_slope, linear_module, nested_run, statement_count
 
 SIZES = (4, 8, 16, 32, 64)
@@ -25,43 +23,18 @@ def test_compile_time_is_roughly_linear():
     """The shape claim itself: statement count vs compile time correlates
     linearly, and the per-statement cost does not blow up across a 16x
     size range."""
-    import time
-
     statements, times = [], []
     for units in SIZES:
         module = linear_module(units)
-        # fixed work per size (median of 3)
-        samples = []
-        for _ in range(3):
-            start = time.perf_counter()
-            compile_module(module)
-            samples.append(time.perf_counter() - start)
         statements.append(statement_count(module))
-        times.append(sorted(samples)[1])
+        times.append(harness.median_ms(compile_module, module, rounds=3))
     slope, corr = fit_slope(statements, times)
     assert corr > 0.97, f"compile time not linear in size: corr={corr:.3f}"
     per_stmt_small = times[0] / statements[0]
     per_stmt_large = times[-1] / statements[-1]
     assert per_stmt_large < per_stmt_small * 4, (
-        f"superlinear compile cost: {per_stmt_small:.2e} -> {per_stmt_large:.2e} s/stmt"
+        f"superlinear compile cost: {per_stmt_small:.2e} -> {per_stmt_large:.2e} ms/stmt"
     )
-
-
-def _compile_ms(entry, table, options, rounds=3):
-    best = None
-    for _ in range(rounds):
-        clear_compile_cache()
-        clear_link_cache()
-        gc.collect()
-        gc.disable()
-        try:
-            start = time.process_time()
-            compile_module(entry, table, options)
-            elapsed = (time.process_time() - start) * 1000.0
-        finally:
-            gc.enable()
-        best = elapsed if best is None else min(best, elapsed)
-    return best
 
 
 def test_deep_run_instantiation_scaling():
@@ -74,17 +47,12 @@ def test_deep_run_instantiation_scaling():
     faster.  Gates: trace parity at every shape, monotone speedup in
     fanout, and the low-reuse worst case is not a regression over the
     seed's inlining."""
-    from bench_compile import _update_bench_json
-
     shapes = [(6, 2), (3, 4), (2, 8)]  # (depth, fanout), 64 leaves each
     rows = []
     for depth, fanout in shapes:
         entry, table = nested_run(depth, fanout)
-        inline_ms = _compile_ms(entry, table, CompileOptions())
-        link_ms = _compile_ms(entry, table, CompileOptions(link=True))
-
-        inlined = compile_module(entry, table, CompileOptions())
-        linked = compile_module(entry, table, CompileOptions(link=True))
+        inline_ms, inlined = best_compile_ms(entry, table, CompileOptions(), rounds=3)
+        link_ms, linked = best_compile_ms(entry, table, CompileOptions(link=True), rounds=3)
         mi, ml = ReactiveMachine(inlined), ReactiveMachine(linked)
         for i in range(12):
             inputs = {}
@@ -114,4 +82,4 @@ def test_deep_run_instantiation_scaling():
     assert speedups[-1] >= 2.0, (
         f"high-reuse nesting should win clearly: {rows[-1]}"
     )
-    _update_bench_json("deep", {"shapes": rows})
+    harness.write("compile", "deep", {"shapes": rows})

@@ -19,16 +19,13 @@ The per-member memory split (shared compiled plan vs per-machine state)
 rides along for the report.
 """
 
-import json
 import time
-from pathlib import Path
 
+import harness
 from repro import ReactiveMachine, clear_compile_cache
-from repro.apps.skini import make_audience_fleet, make_large_score, participant_module
-from repro.apps.skini.score import generate_score_module
+from repro.apps.skini import make_audience_fleet, participant_module
 from repro.runtime.fleet import MachineFleet
-
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_fleet.json"
+from workloads import and_bool, mid_score
 
 FLEET_SIZE = 1000
 CONSTRUCTION_GATE = 20.0
@@ -36,28 +33,6 @@ STEADY_STATE_GATE = 2.0
 LOCKSTEP_MEMBERS = 1024
 LOCKSTEP_SHARED_GATE = 10.0
 LOCKSTEP_MIXED_GATE = 2.0
-
-
-def _update_bench_json(section, payload):
-    """Merge one section into BENCH_fleet.json (tests may run alone)."""
-    data = {}
-    if BENCH_JSON.exists():
-        try:
-            data = json.loads(BENCH_JSON.read_text())
-        except ValueError:
-            data = {}
-    data[section] = payload
-    BENCH_JSON.write_text(json.dumps(data, indent=2) + "\n")
-
-
-def _median_react_all_ms(fleet, inputs, rounds=20):
-    samples = []
-    for _ in range(rounds):
-        start = time.perf_counter()
-        fleet.react_all(inputs)
-        samples.append((time.perf_counter() - start) * 1000.0)
-    samples.sort()
-    return samples[len(samples) // 2]
 
 
 def test_fleet_construction_amortization():
@@ -82,8 +57,8 @@ def test_fleet_construction_amortization():
 
     speedup = uncached_ms / fleet_ms
     report = fleet.memory_report()
-    _update_bench_json(
-        "construction",
+    harness.write(
+        "fleet", "construction",
         {
             "members": FLEET_SIZE,
             "module": "Participant",
@@ -93,8 +68,8 @@ def test_fleet_construction_amortization():
             "speedup": round(speedup, 1),
         },
     )
-    _update_bench_json(
-        "memory",
+    harness.write(
+        "fleet", "memory",
         {
             "members": report["members"],
             "shared_bytes": report["shared_bytes"],
@@ -114,8 +89,7 @@ def test_fleet_sparse_steady_state_speedup():
     """A fleet of mid-size score machines (~700 nets each, above the
     sparse auto floor): steady-state ``react_all`` on the sparse backend
     vs the full levelized sweep."""
-    score = make_large_score(sections=8, groups_per_section=5, patterns_per_group=6)
-    module, table = generate_score_module(score)
+    module, table = mid_score()
     members = 8
     inputs = {"seconds": 1, "second": True}
     medians = {}
@@ -124,7 +98,7 @@ def test_fleet_sparse_steady_state_speedup():
         fleet = MachineFleet(
             module,
             modules=table,
-            host_globals={"andBool": lambda a, b: bool(a and b)},
+            host_globals={"andBool": and_bool},
             size=members,
             backend=backend,
         )
@@ -132,12 +106,12 @@ def test_fleet_sparse_steady_state_speedup():
             assert fleet.stats()["backends"] == {"sparse": members}
         fleet.react_all({})
         nets = fleet.stats()["nets"]
-        _median_react_all_ms(fleet, inputs, rounds=5)  # settle
-        medians[backend] = _median_react_all_ms(fleet, inputs)
+        harness.median_ms(fleet.react_all, inputs, rounds=5)  # settle
+        medians[backend] = harness.median_ms(fleet.react_all, inputs, rounds=20)
 
     speedup = medians["levelized"] / medians["sparse"]
-    _update_bench_json(
-        "steady_state",
+    harness.write(
+        "fleet", "steady_state",
         {
             "members": members,
             "nets_per_member": nets,
@@ -169,10 +143,10 @@ def test_fleet_lockstep_word_parallel_speedup():
     scalar = make_audience_fleet(LOCKSTEP_MEMBERS, backend="sparse")
     for fleet in (word, scalar):
         fleet.react_all({})
-        _median_react_all_ms(fleet, {}, rounds=5)  # settle
+        harness.median_ms(fleet.react_all, {}, rounds=5)  # settle
 
-    shared_word_ms = _median_react_all_ms(word, {})
-    shared_scalar_ms = _median_react_all_ms(scalar, {})
+    shared_word_ms = harness.median_ms(word.react_all, {}, rounds=20)
+    shared_scalar_ms = harness.median_ms(scalar.react_all, {}, rounds=20)
     shared_speedup = shared_scalar_ms / shared_word_ms
 
     # sustained divergence: every 10th member gets a reaction budget
@@ -184,13 +158,13 @@ def test_fleet_lockstep_word_parallel_speedup():
     resident = word._engine.resident_count
     assert resident <= LOCKSTEP_MEMBERS - LOCKSTEP_MEMBERS // 10
 
-    mixed_word_ms = _median_react_all_ms(word, {})
+    mixed_word_ms = harness.median_ms(word.react_all, {}, rounds=20)
     mixed_speedup = shared_scalar_ms / mixed_word_ms
 
     stats = word.stats()["lockstep"]
     packed = word.memory_report()["lockstep"]
-    _update_bench_json(
-        "lockstep",
+    harness.write(
+        "fleet", "lockstep",
         {
             "members": LOCKSTEP_MEMBERS,
             "module": "Participant",
@@ -225,5 +199,5 @@ def test_participant_fleet_reacts_in_audience_scale_budget():
     broadcast reaction well inside the 300 ms musical pulse."""
     fleet = make_audience_fleet(FLEET_SIZE)
     fleet.react_all({})
-    median = _median_react_all_ms(fleet, {"select": "p"}, rounds=5)
+    median = harness.median_ms(fleet.react_all, {"select": "p"}, rounds=5)
     assert median < 300.0, f"audience reaction blew the pulse: {median:.1f} ms"

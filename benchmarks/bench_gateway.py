@@ -31,25 +31,18 @@ here and recorded in BENCH_gateway.json:
     the resilience machinery itself (reconnect storms, resume replay,
     retransmission, fencing) adds to the tail, which is the thing
     that must stay bounded.
-
-Run directly (``python benchmarks/bench_gateway.py [--quick]``) or via
-pytest; ``--quick`` shrinks the cohort for CI smoke runs.
 """
 
-import argparse
 import asyncio
-import json
 import random
 import time
-from pathlib import Path
 
+import harness
 from repro import Gateway, GatewayClient
 from repro.apps.skini.participant import make_audience_fleet
 from repro.host.netchaos import ChaosTransport
 
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_gateway.json"
-
-#: full-size vs --quick sweep parameters (tests run the full profile)
+#: full and quick profile sizes (see harness.pick)
 FULL = dict(
     n_clients=1000, events=4, think_ms=(200.0, 500.0), ramp_s=2.0,
     baseline_events=300, capacity=64,
@@ -58,7 +51,6 @@ QUICK = dict(
     n_clients=120, events=4, think_ms=(25.0, 75.0), ramp_s=0.5,
     baseline_events=150, capacity=64,
 )
-PROFILE = dict(FULL)
 
 P99_GATE = 5.0
 STORM_P = 0.10  # per-event probability the driver kills the connection
@@ -73,33 +65,16 @@ CHAOS = dict(
 )
 
 
-def _update_bench_json(section, payload):
-    """Merge one section into BENCH_gateway.json (tests may run alone)."""
-    data = {}
-    if BENCH_JSON.exists():
-        try:
-            data = json.loads(BENCH_JSON.read_text())
-        except ValueError:
-            data = {}
-    data[section] = payload
-    BENCH_JSON.write_text(json.dumps(data, indent=2) + "\n")
-
-
-def _pct(samples, q):
-    ordered = sorted(samples)
-    return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
-
-
-async def _unloaded_baseline(seed=1):
+async def _unloaded_baseline(profile, seed=1):
     """One client, no chaos, idle gateway: the pump path's admit->diff
     latency with nothing competing for the event loop."""
     fleet = make_audience_fleet(4)
-    gw = Gateway(fleet.ingress(capacity=PROFILE["capacity"]),
+    gw = Gateway(fleet.ingress(capacity=profile["capacity"]),
                  pump_interval_ms=1.0, grow=False)
     await gw.start()
     client = GatewayClient(gw.local_connector(), seed=seed, name="base")
     await client.connect()
-    for j in range(1, PROFILE["baseline_events"] + 1):
+    for j in range(1, profile["baseline_events"] + 1):
         await client.send_event({"select": f"p{j % 3}"})
     assert await gw.drain()
     await client.sync()
@@ -109,16 +84,16 @@ async def _unloaded_baseline(seed=1):
     return samples
 
 
-async def _cohort(seed, chaos, storm_p):
+async def _cohort(profile, seed, chaos, storm_p):
     """One full cohort run: ramped connects, closed-loop driving with
     think time, optional chaos + reconnect storms, quiesce, and the
     correctness gates.  Returns (gateway-ish summary dict, samples)."""
-    n = PROFILE["n_clients"]
-    events = PROFILE["events"]
-    think_lo, think_hi = PROFILE["think_ms"]
+    n = profile["n_clients"]
+    events = profile["events"]
+    think_lo, think_hi = profile["think_ms"]
     fleet = make_audience_fleet(n)
     gw = Gateway(
-        fleet.ingress(capacity=PROFILE["capacity"]),
+        fleet.ingress(capacity=profile["capacity"]),
         pump_interval_ms=1.0,
         grow=False,
         record_instants=chaos,  # the storm run feeds the oracle replay
@@ -137,7 +112,7 @@ async def _cohort(seed, chaos, storm_p):
         ))
 
     async def ramp(i, client):
-        await asyncio.sleep((i / max(1, n)) * PROFILE["ramp_s"])
+        await asyncio.sleep((i / max(1, n)) * profile["ramp_s"])
         await client.connect()
 
     await asyncio.gather(*(ramp(i, c) for i, c in enumerate(clients)))
@@ -201,8 +176,8 @@ async def _cohort(seed, chaos, storm_p):
         "sessions_reaped": gw.counters["sessions_reaped"],
         "duplicate_hellos": gw.counters["duplicate_hellos"],
         "diffs_coalesced": gw.counters["diffs_coalesced"],
-        "p50_ms": round(_pct(samples, 0.50), 3),
-        "p99_ms": round(_pct(samples, 0.99), 3),
+        "p50_ms": round(harness.percentile(samples, 0.50), 3),
+        "p99_ms": round(harness.percentile(samples, 0.99), 3),
     }
 
     if chaos:
@@ -232,35 +207,36 @@ def test_gateway_storm_gates():
     """The headline run: unloaded baseline, clean cohort, chaos cohort —
     exactly-once, zero lost diffs, digest parity, and the latency-tail
     gate, all asserted in one pass."""
+    profile = harness.pick(FULL, QUICK)
 
     async def scenario():
-        unloaded = await _unloaded_baseline()
-        _update_bench_json(
-            "unloaded",
+        unloaded = await _unloaded_baseline(profile)
+        harness.write(
+            "gateway", "unloaded",
             {
                 "events": len(unloaded),
-                "p50_ms": round(_pct(unloaded, 0.50), 4),
-                "p99_ms": round(_pct(unloaded, 0.99), 4),
+                "p50_ms": round(harness.percentile(unloaded, 0.50), 4),
+                "p99_ms": round(harness.percentile(unloaded, 0.99), 4),
             },
         )
 
-        clean, clean_samples = await _cohort(seed=21, chaos=False, storm_p=0.0)
-        _update_bench_json("clean", clean)
+        clean, clean_samples = await _cohort(profile, seed=21, chaos=False, storm_p=0.0)
+        harness.write("gateway", "clean", clean)
 
-        storm, storm_samples = await _cohort(seed=31, chaos=True, storm_p=STORM_P)
+        storm, storm_samples = await _cohort(profile, seed=31, chaos=True, storm_p=STORM_P)
         assert storm["chaos_fired"] > 0, "storm produced no faults"
-        clean_p99 = _pct(clean_samples, 0.99)
-        storm_p99 = _pct(storm_samples, 0.99)
+        clean_p99 = harness.percentile(clean_samples, 0.99)
+        storm_p99 = harness.percentile(storm_samples, 0.99)
         ratio = storm_p99 / clean_p99
         storm.update({
             "clean_p99_ms": round(clean_p99, 3),
             "ratio": round(ratio, 2),
-            "ratio_vs_unloaded": round(storm_p99 / _pct(unloaded, 0.99), 1),
+            "ratio_vs_unloaded": round(storm_p99 / harness.percentile(unloaded, 0.99), 1),
             "gate": P99_GATE,
             "lost_diffs": 0,
             "double_applied": 0,
         })
-        _update_bench_json("storm", storm)
+        harness.write("gateway", "storm", storm)
         assert ratio <= P99_GATE, (
             f"storm p99 admit->diff latency {storm_p99:.2f} ms is "
             f"{ratio:.1f}x the clean-cohort p99 {clean_p99:.2f} ms (gate "
@@ -270,29 +246,3 @@ def test_gateway_storm_gates():
 
     asyncio.run(asyncio.wait_for(scenario(), 600.0))
 
-
-if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="reduced-size cohort for CI smoke runs",
-    )
-    if parser.parse_args().quick:
-        PROFILE.update(QUICK)
-    test_gateway_storm_gates()
-    data = json.loads(BENCH_JSON.read_text())
-    unloaded, clean, storm = data["unloaded"], data["clean"], data["storm"]
-    print(f"G1 - gateway chaos storm ({storm['clients']} clients)")
-    print(f"  unloaded: p50 {unloaded['p50_ms']:.3f} ms, "
-          f"p99 {unloaded['p99_ms']:.3f} ms ({unloaded['events']} events)")
-    print(f"  clean:    {clean['events']} events at {clean['events_per_s']}/s, "
-          f"p50 {clean['p50_ms']:.2f} ms, p99 {clean['p99_ms']:.2f} ms")
-    print(f"  storm:    {storm['events']} events, {storm['reconnects']} "
-          f"reconnects, {storm['retransmits']} retransmits, "
-          f"{storm['resumed_replay']} replays, {storm['snapshots']} "
-          f"snapshots, {storm['sessions_reaped']} reaped")
-    print(f"  p99 {storm['p99_ms']:.2f} ms = {storm['ratio']:.2f}x clean "
-          f"p99 (gate {storm['gate']:.0f}x); lost diffs "
-          f"{storm['lost_diffs']}, double-applied {storm['double_applied']}; "
-          f"digest parity {storm['digest_parity']}")
-    print(f"  wrote {BENCH_JSON.name}")

@@ -22,43 +22,22 @@ here and recorded in BENCH_overload.json:
 * ``shedding``: the bounded alternatives (``reject`` / ``drop-oldest``)
   under the same burst shape — how much each policy sheds, and that
   the shed count is exact (accounted, not silent).
-
-Run directly (``python benchmarks/bench_overload.py [--quick]``) or via
-pytest; ``--quick`` shrinks the fleet and the event budget for CI smoke
-runs.
 """
 
-import argparse
 import itertools
-import json
 import time
-from pathlib import Path
 
+import harness
 from repro.apps.skini import make_audience_fleet
 from repro.host import SimulatedLoop
 from repro.host.chaos import LoadGenerator
 
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_overload.json"
-
-#: full-size vs --quick sweep parameters (tests run the full profile)
+#: full and quick profile sizes (see harness.pick)
 FULL = dict(fleet_size=1000, events=20_000, slices=5, capacity=64)
 QUICK = dict(fleet_size=100, events=2_000, slices=5, capacity=64)
-PROFILE = dict(FULL)
 
 OVERLOAD_FACTOR = 10.0
 P99_GATE = 5.0
-
-
-def _update_bench_json(section, payload):
-    """Merge one section into BENCH_overload.json (tests may run alone)."""
-    data = {}
-    if BENCH_JSON.exists():
-        try:
-            data = json.loads(BENCH_JSON.read_text())
-        except ValueError:
-            data = {}
-    data[section] = payload
-    BENCH_JSON.write_text(json.dumps(data, indent=2) + "\n")
 
 
 class _RecordingClock:
@@ -85,16 +64,6 @@ class _RecordingClock:
         self.stamps = []
 
 
-def _median(samples):
-    ordered = sorted(samples)
-    return ordered[len(ordered) // 2]
-
-
-def _p99(samples):
-    ordered = sorted(samples)
-    return ordered[min(len(ordered) - 1, int(0.99 * len(ordered)))]
-
-
 def _participant_inputs(event):
     # one audience member tapping a pattern choice on their phone
     return {"select": f"p{event % 3}"}
@@ -118,18 +87,19 @@ def test_overload_p99_within_gate():
     """10x sustainable Poisson load, coalescing ingress: p99 admitted-
     react latency within 5x the unloaded steady-state p99, zero shed
     events, exact admission accounting."""
-    size = PROFILE["fleet_size"]
+    profile = harness.pick(FULL, QUICK)
+    size = profile["fleet_size"]
     fleet = make_audience_fleet(size)
     fleet.react_all({})
     ingress = fleet.ingress(
-        capacity=PROFILE["capacity"], policy="coalesce", coalesce_on_pump=True
+        capacity=profile["capacity"], policy="coalesce", coalesce_on_pump=True
     )
 
     steady = _steady_baseline(ingress)
-    steady_median_ms = _median(steady)
-    steady_p99_ms = _p99(steady)
-    _update_bench_json(
-        "steady",
+    steady_median_ms = harness.median(steady)
+    steady_p99_ms = harness.percentile(steady, 0.99)
+    harness.write(
+        "overload", "steady",
         {
             "members": size,
             "median_ms": round(steady_median_ms, 5),
@@ -143,7 +113,7 @@ def test_overload_p99_within_gate():
     # wall-clock cost stays bounded on any host
     sustainable_per_s = 1000.0 / steady_median_ms
     rate_per_s = OVERLOAD_FACTOR * sustainable_per_s
-    duration_ms = PROFILE["events"] / rate_per_s * 1000.0
+    duration_ms = profile["events"] / rate_per_s * 1000.0
     base = ingress.stats()  # baseline traffic, netted out of the run below
 
     loop = SimulatedLoop()
@@ -159,15 +129,15 @@ def test_overload_p99_within_gate():
     # interleave arrival slices with pump rounds, the way a host loop
     # alternates between accepting traffic and reacting
     clock = _RecordingClock()
-    slice_ms = duration_ms / PROFILE["slices"]
-    for _ in range(PROFILE["slices"]):
+    slice_ms = duration_ms / profile["slices"]
+    for _ in range(profile["slices"]):
         loop.advance(slice_ms)
         ingress.pump_all(clock=clock)
     loop.run_until_idle()
     ingress.pump_all(clock=clock)
 
     samples = clock.samples_ms()
-    p99_ms = _p99(samples)
+    p99_ms = harness.percentile(samples, 0.99)
     # gate like-for-like: overloaded p99 against unloaded p99, both
     # through the identical pump path, so host scheduling jitter (which
     # dominates the tail at the microsecond scale) cancels out; the
@@ -188,8 +158,8 @@ def test_overload_p99_within_gate():
     assert stats["shed"] == 0
     assert stats["pending"] == 0
 
-    _update_bench_json(
-        "overload",
+    harness.write(
+        "overload", "overload",
         {
             "members": size,
             "events": scheduled,
@@ -267,8 +237,8 @@ def test_bounded_policies_shed_exactly():
             "shed": stats["shed"],
             "pumped": stats["pumped"],
         }
-    _update_bench_json(
-        "shedding",
+    harness.write(
+        "overload", "shedding",
         {"members": size, "capacity": capacity,
          "burst": size * per_member, "policies": profile},
     )
@@ -279,17 +249,17 @@ def test_reaction_budget_overhead():
     ``budget="auto"`` vs no budget.  Informational (recorded, not
     gated) — the checks are counter arithmetic, so the ratio should
     stay near 1."""
-    size = min(PROFILE["fleet_size"], 200)
+    size = min(harness.pick(FULL, QUICK)["fleet_size"], 200)
     timings = {}
     for label, budget in (("unbounded", None), ("auto_budget", "auto")):
         fleet = make_audience_fleet(size)
         fleet.react_all({})
         ingress = fleet.ingress(capacity=8, budget=budget)
         steady = _steady_baseline(ingress)
-        timings[label] = _median(steady)
+        timings[label] = harness.median(steady)
     ratio = timings["auto_budget"] / timings["unbounded"]
-    _update_bench_json(
-        "budget_overhead",
+    harness.write(
+        "overload", "budget_overhead",
         {
             "members": size,
             "median_ms": {k: round(v, 5) for k, v in timings.items()},
@@ -299,33 +269,3 @@ def test_reaction_budget_overhead():
     # sanity only: budget checking must not change what gets computed
     assert ratio > 0
 
-
-if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="reduced-size sweep for CI smoke runs",
-    )
-    if parser.parse_args().quick:
-        PROFILE.update(QUICK)
-    test_overload_p99_within_gate()
-    test_bounded_policies_shed_exactly()
-    test_reaction_budget_overhead()
-    data = json.loads(BENCH_JSON.read_text())
-    steady, over = data["steady"], data["overload"]
-    print(f"O1 - overload resilience ({over['members']} members)")
-    print(f"  steady:   median {steady['median_ms']:.4f} ms, "
-          f"p99 {steady['p99_ms']:.4f} ms ({steady['samples']} reacts)")
-    print(f"  overload: {over['events']} events at {over['rate_per_s']}/s "
-          f"({over['overload_factor']:.0f}x sustainable "
-          f"{over['sustainable_per_s']}/s) -> {over['reacts']} coalesced "
-          f"reacts ({over['flattening']:.1f}x flattening)")
-    print(f"  p99 {over['p99_ms']:.4f} ms = {over['ratio']:.2f}x steady "
-          f"p99 ({over['ratio_vs_median']:.2f}x steady median; gate "
-          f"{over['gate']:.0f}x); shed {over['shed']}")
-    shed = data["shedding"]["policies"]
-    print("  shedding: " + ", ".join(
-        f"{policy} shed {entry['shed']}/{entry['offered']}"
-        for policy, entry in shed.items()))
-    print(f"  budget overhead: {data['budget_overhead']['ratio']:.2f}x")
-    print(f"  wrote {BENCH_JSON.name}")

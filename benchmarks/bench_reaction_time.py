@@ -5,31 +5,15 @@ are measured; the levelized plan must beat the worklist by ≥2× on the
 largest steady-state Skini workload (see docs/performance.md), and the
 per-backend medians are recorded in BENCH_reaction.json."""
 
-import json
-import time
-from pathlib import Path
-
 import pytest
 
+import harness
 from repro import ReactiveMachine, compile_module
 from repro.apps.skini import Audience, Performance, make_large_score
 from workloads import compiled_machine, drive_steady_state, fit_slope
 
 SIZES = (2, 8, 32, 64)
 BACKENDS = ("worklist", "levelized", "sparse")
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_reaction.json"
-
-
-def _update_bench_json(section, payload):
-    """Merge one section into BENCH_reaction.json (tests may run alone)."""
-    data = {}
-    if BENCH_JSON.exists():
-        try:
-            data = json.loads(BENCH_JSON.read_text())
-        except ValueError:
-            data = {}
-    data[section] = payload
-    BENCH_JSON.write_text(json.dumps(data, indent=2) + "\n")
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -40,23 +24,13 @@ def test_reaction(benchmark, units, backend):
     benchmark(lambda: machine.react(inputs))
 
 
-def _median_reaction_ms(machine, inputs, rounds=30):
-    samples = []
-    for _ in range(rounds):
-        start = time.perf_counter()
-        machine.react(inputs)
-        samples.append((time.perf_counter() - start) * 1000.0)
-    samples.sort()
-    return samples[len(samples) // 2]
-
-
 def test_reaction_time_linear_in_circuit_size():
     nets, times = [], []
     for units in SIZES:
         machine = compiled_machine(units)
         inputs = drive_steady_state(machine)
         nets.append(machine.stats()["nets"])
-        times.append(_median_reaction_ms(machine, inputs))
+        times.append(harness.median_ms(machine.react, inputs, rounds=30))
     _slope, corr = fit_slope(nets, times)
     assert corr > 0.95, f"reaction time not linear in nets: {list(zip(nets, times))}"
 
@@ -71,7 +45,7 @@ def test_largest_score_within_pulse_budget(benchmark):
     group = score.groups[0]
     inputs = {"seconds": 1, "second": True}
     benchmark(lambda: perf.machine.react(inputs))
-    median = _median_reaction_ms(perf.machine, inputs, rounds=20)
+    median = harness.median_ms(perf.machine.react, inputs, rounds=20)
     assert median < 300.0, f"pulse budget blown: {median:.2f} ms"
     assert median < 50.0, f"expected a wide safety margin, got {median:.2f} ms"
 
@@ -98,13 +72,13 @@ def test_levelized_speedup_on_largest_score():
         assert perf.machine.backend == backend
         perf.step()
         # settle into steady state before sampling
-        _median_reaction_ms(perf.machine, inputs, rounds=10)
-        medians[backend] = _median_reaction_ms(perf.machine, inputs, rounds=40)
+        harness.median_ms(perf.machine.react, inputs, rounds=10)
+        medians[backend] = harness.median_ms(perf.machine.react, inputs, rounds=40)
         stats[backend] = dict(perf.machine.stats())
 
     speedup = medians["worklist"] / medians["levelized"]
-    _update_bench_json(
-        "levelized_vs_worklist",
+    harness.write(
+        "reaction", "levelized_vs_worklist",
         {
             "workload": "skini-large-score-steady-state",
             "sections": 60,
@@ -137,24 +111,17 @@ def test_sparse_speedup_on_one_changed_input():
             inputs["S10G0In"] = True
         return inputs
 
-    def median_alternating(machine, rounds):
-        samples = []
-        for step in range(rounds):
-            inputs = toggled(step)
-            start = time.perf_counter()
-            machine.react(inputs)
-            samples.append((time.perf_counter() - start) * 1000.0)
-        samples.sort()
-        return samples[len(samples) // 2]
-
     medians = {}
     sparse_counters = {}
     for backend in ("levelized", "sparse"):
         perf = Performance(score, Audience(size=0), backend=backend)
         assert perf.machine.backend == backend
         perf.step()
-        median_alternating(perf.machine, rounds=10)  # settle
-        medians[backend] = median_alternating(perf.machine, rounds=40)
+        for step in range(10):  # settle
+            perf.machine.react(toggled(step))
+        medians[backend] = harness.median(
+            [harness.time_ms(perf.machine.react, toggled(step)) for step in range(40)]
+        )
         if backend == "sparse":
             sched = perf.machine._scheduler
             sparse_counters = {
@@ -163,8 +130,8 @@ def test_sparse_speedup_on_one_changed_input():
             }
 
     speedup = medians["levelized"] / medians["sparse"]
-    _update_bench_json(
-        "sparse_one_changed_input",
+    harness.write(
+        "reaction", "sparse_one_changed_input",
         {
             "workload": "skini-large-score-one-toggled-input",
             "toggled_input": "S10G0In",

@@ -21,67 +21,26 @@ Three measurements land in BENCH_recovery.json:
 
 import json
 import time
-from pathlib import Path
 
+import harness
 from repro import MachineSupervisor, MemoryJournal, ReactiveMachine
-from repro.apps.skini import make_large_score
-from repro.apps.skini.score import generate_score_module
-
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_recovery.json"
+from workloads import and_bool, mid_score, steady_ms, tick
 
 INSTANTS = 100
 CHECKPOINT_EVERY = 10
 RECOVERY_GATE = 50.0
 
 
-def _update_bench_json(section, payload):
-    """Merge one section into BENCH_recovery.json (tests may run alone)."""
-    data = {}
-    if BENCH_JSON.exists():
-        try:
-            data = json.loads(BENCH_JSON.read_text())
-        except ValueError:
-            data = {}
-    data[section] = payload
-    BENCH_JSON.write_text(json.dumps(data, indent=2) + "\n")
-
-
 def _score_builder():
-    """A zero-argument constructor for the largest Skini score machine
-    (same construction as bench_fleet / report E5)."""
-    score = make_large_score(sections=8, groups_per_section=5, patterns_per_group=6)
-    module, table = generate_score_module(score)
-
-    def build():
-        return ReactiveMachine(
-            module,
-            modules=table,
-            host_globals={"andBool": lambda a, b: bool(a and b)},
-        )
-
-    return build
-
-
-def _tick(machine):
-    n = machine.reaction_count
-    return {"seconds": n, "second": True}
+    """A zero-argument constructor for the mid-size Skini score machine."""
+    module, table = mid_score()
+    return lambda: ReactiveMachine(module, modules=table, host_globals={"andBool": and_bool})
 
 
 def _settle(machine, instants=10):
     machine.react({})
     for _ in range(instants):
-        machine.react(_tick(machine))
-
-
-def _steady_ms(machine, rounds=40):
-    samples = []
-    for _ in range(rounds):
-        inputs = _tick(machine)
-        start = time.perf_counter()
-        machine.react(inputs)
-        samples.append((time.perf_counter() - start) * 1000.0)
-    samples.sort()
-    return samples[len(samples) // 2]
+        machine.react(tick(machine.reaction_count))
 
 
 def _state_digest(machine):
@@ -94,7 +53,7 @@ def test_snapshot_restore_round_trip_cost():
     build = _score_builder()
     machine = build()
     _settle(machine)
-    steady = _steady_ms(machine)
+    steady = steady_ms(machine, rounds=40)
 
     start = time.perf_counter()
     snap = machine.snapshot()
@@ -107,8 +66,8 @@ def test_snapshot_restore_round_trip_cost():
     restore_ms = (time.perf_counter() - start) * 1000.0
     assert _state_digest(fresh) == _state_digest(machine)
 
-    _update_bench_json(
-        "snapshot",
+    harness.write(
+        "recovery", "snapshot",
         {
             "workload": "skini-large-score",
             "nets": machine.stats()["nets"],
@@ -132,8 +91,8 @@ def test_replay_100_instants_byte_identical():
     base = machine.snapshot()
     journal.truncate(base["reaction_count"])
     for _ in range(INSTANTS):
-        machine.react(_tick(machine))
-    steady = _steady_ms(machine)
+        machine.react(tick(machine.reaction_count))
+    steady = steady_ms(machine, rounds=40)
     reference = _state_digest(machine)
     entries = journal.entries(base["reaction_count"])[:INSTANTS]
     assert len(entries) == INSTANTS
@@ -147,8 +106,8 @@ def test_replay_100_instants_byte_identical():
     fresh.replay(journal.entries(base["reaction_count"] + INSTANTS))
     assert _state_digest(fresh) == reference
 
-    _update_bench_json(
-        "replay",
+    harness.write(
+        "recovery", "replay",
         {
             "instants": INSTANTS,
             "replay_ms": round(replay_ms, 4),
@@ -166,34 +125,31 @@ def test_checkpointed_recovery_within_reaction_budget():
     build = _score_builder()
     reference_machine = build()
     _settle(reference_machine)
-    steady = _steady_ms(reference_machine)
+    steady = steady_ms(reference_machine, rounds=40)
 
     supervisor = MachineSupervisor(build(), checkpoint_every=CHECKPOINT_EVERY)
     supervisor.react({})
     for _ in range(INSTANTS):
-        supervisor.react(_tick(supervisor.machine))
+        supervisor.react(tick(supervisor.machine.reaction_count))
     # crash at the worst point: just before the next checkpoint
     while (
         len(supervisor.journal.entries(supervisor.last_checkpoint["reaction_count"]))
         < CHECKPOINT_EVERY - 1
     ):
-        supervisor.react(_tick(supervisor.machine))
+        supervisor.react(tick(supervisor.machine.reaction_count))
     tail = len(supervisor.journal.entries(supervisor.last_checkpoint["reaction_count"]))
     reference = _state_digest(supervisor.machine)
 
     samples = []
     for _ in range(15):
         fresh = build()
-        start = time.perf_counter()
-        supervisor.recover(fresh)
-        samples.append((time.perf_counter() - start) * 1000.0)
+        samples.append(harness.time_ms(supervisor.recover, fresh))
         assert _state_digest(fresh) == reference
-    samples.sort()
-    recovery_ms = samples[len(samples) // 2]
+    recovery_ms = harness.median(samples)
     ratio = recovery_ms / steady
 
-    _update_bench_json(
-        "recovery",
+    harness.write(
+        "recovery", "recovery",
         {
             "workload": "skini-large-score-supervised",
             "instants": INSTANTS,

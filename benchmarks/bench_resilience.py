@@ -95,10 +95,3 @@ def test_identical_observable_behaviour_on_fast_path():
         _drive(machine, loop)
         logs.append(states)
     assert logs[0] == logs[1]
-
-
-if __name__ == "__main__":
-    plain, resilient, overhead = measure_overhead()
-    print(f"plain Main:      {plain:8.2f} ms / {CYCLES} login cycles")
-    print(f"resilient MainR: {resilient:8.2f} ms / {CYCLES} login cycles")
-    print(f"overhead:        {overhead:8.1%} (budget 10%)")

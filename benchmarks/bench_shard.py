@@ -17,78 +17,23 @@ Two measurements land in BENCH_shard.json:
   sharding the GIL away.  On fewer cores the ratio is still recorded
   (with a ``skipped`` note) since parallel speedup is physically
   unavailable.
-
-Run directly (``python benchmarks/bench_shard.py [--quick]``) or via
-pytest; ``--quick`` shrinks the fleet and round counts for CI smoke
-runs.
 """
 
-import argparse
 import json
-import os
 import tempfile
 import time
-from pathlib import Path
 
+import harness
 from repro import MachineFleet, ReactiveMachine, ShardManager
-from repro.apps.skini import make_large_score
-from repro.apps.skini.score import generate_score_module
+from workloads import and_bool, mid_score, steady_ms, tick
 
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_shard.json"
-
-#: full-size vs --quick sweep parameters (tests run the full profile)
+#: full and quick profile sizes (see harness.pick)
 FULL = dict(members=16, instants=12, settle=5, migration_rounds=10, shards=4)
 QUICK = dict(members=6, instants=6, settle=3, migration_rounds=4, shards=4)
-PROFILE = dict(FULL)
 
 MIGRATION_GATE = 50.0
 THROUGHPUT_GATE = 2.0
 MIN_CORES_FOR_GATE = 4
-
-
-def _usable_cores():
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux fallback
-        return os.cpu_count() or 1
-
-
-def _and_bool(a, b):
-    """Host predicate for the generated score (module-level so worker
-    processes resolve it by name)."""
-    return bool(a and b)
-
-
-def _update_bench_json(section, payload):
-    """Merge one section into BENCH_shard.json (tests may run alone)."""
-    data = {}
-    if BENCH_JSON.exists():
-        try:
-            data = json.loads(BENCH_JSON.read_text())
-        except ValueError:
-            data = {}
-    data[section] = payload
-    BENCH_JSON.write_text(json.dumps(data, indent=2) + "\n")
-
-
-def _score_plan():
-    score = make_large_score(sections=8, groups_per_section=5, patterns_per_group=6)
-    return generate_score_module(score)
-
-
-def _tick(n):
-    return {"seconds": n, "second": True}
-
-
-def _steady_ms(machine, rounds=30):
-    samples = []
-    for _ in range(rounds):
-        inputs = _tick(machine.reaction_count)
-        start = time.perf_counter()
-        machine.react(inputs)
-        samples.append((time.perf_counter() - start) * 1000.0)
-    samples.sort()
-    return samples[len(samples) // 2]
 
 
 def test_live_migration_within_reaction_budget():
@@ -99,14 +44,15 @@ def test_live_migration_within_reaction_budget():
     deployment actually pays per instant.  (The raw in-process reaction
     is also recorded; on the sparse backend it is nearly free, so any
     cross-process operation dwarfs it.)"""
-    module, table = _score_plan()
-    host_globals = {"andBool": _and_bool}
+    profile = harness.pick(FULL, QUICK)
+    module, table = mid_score()
+    host_globals = {"andBool": and_bool}
 
     oracle = ReactiveMachine(module, modules=table, host_globals=host_globals)
     oracle.react({})
-    for _ in range(PROFILE["settle"]):
-        oracle.react(_tick(oracle.reaction_count))
-    local_steady = _steady_ms(oracle)
+    for _ in range(profile["settle"]):
+        oracle.react(tick(oracle.reaction_count))
+    local_steady = steady_ms(oracle, rounds=30)
 
     with tempfile.TemporaryDirectory() as tmp, ShardManager(
         module,
@@ -117,36 +63,31 @@ def test_live_migration_within_reaction_budget():
         machine_kwargs={"host_globals": host_globals},
     ) as manager:
         manager.react_member(0, {})
-        for _ in range(PROFILE["settle"]):
-            rc = manager.react_member(0, _tick(0))["reaction_count"]
+        for _ in range(profile["settle"]):
+            rc = manager.react_member(0, tick(0))["reaction_count"]
         steady_samples = []
         for n in range(30):
             start = time.perf_counter()
-            rc = manager.react_member(0, _tick(rc + n))["reaction_count"]
+            rc = manager.react_member(0, tick(rc + n))["reaction_count"]
             steady_samples.append((time.perf_counter() - start) * 1000.0)
-        steady_samples.sort()
-        steady = steady_samples[len(steady_samples) // 2]
+        steady = harness.median(steady_samples)
         workers = manager.live_workers()
         samples = []
-        for i in range(PROFILE["migration_rounds"]):
-            dst = workers[(i + 1) % 2]
-            start = time.perf_counter()
-            manager.migrate(0, dst.id)
-            samples.append((time.perf_counter() - start) * 1000.0)
+        for i in range(profile["migration_rounds"]):
+            samples.append(harness.time_ms(manager.migrate, 0, workers[(i + 1) % 2].id))
             # the machine still reacts correctly where it landed
-            rc2 = manager.react_member(0, _tick(rc + i))["reaction_count"]
+            rc2 = manager.react_member(0, tick(rc + i))["reaction_count"]
             assert rc2 > rc
-        samples.sort()
-        migration_ms = samples[len(samples) // 2]
-        assert manager.stats["migrations"] == PROFILE["migration_rounds"]
+        migration_ms = harness.median(samples)
+        assert manager.stats["migrations"] == profile["migration_rounds"]
     snapshot_bytes = len(json.dumps(oracle.snapshot()))
 
     ratio = migration_ms / steady
-    _update_bench_json(
-        "migration",
+    harness.write(
+        "shard", "migration",
         {
             "workload": "skini-large-score",
-            "rounds": PROFILE["migration_rounds"],
+            "rounds": profile["migration_rounds"],
             "migration_ms": round(migration_ms, 4),
             "steady_reaction_ms": round(steady, 4),
             "local_steady_reaction_ms": round(local_steady, 4),
@@ -166,49 +107,49 @@ def test_sharded_react_all_throughput():
     on a fleet of large-score machines.  Recorded always; the >= 2x gate
     is asserted only when at least 4 cores are usable (a single-core
     container cannot exhibit parallel speedup)."""
-    module, table = _score_plan()
-    host_globals = {"andBool": _and_bool}
-    members = PROFILE["members"]
-    instants = PROFILE["instants"]
+    profile = harness.pick(FULL, QUICK)
+    module, table = mid_score()
+    host_globals = {"andBool": and_bool}
+    members = profile["members"]
+    instants = profile["instants"]
 
     fleet = MachineFleet(
         module, modules=table, size=members, host_globals=host_globals
     )
     fleet.react_all({})
-    for n in range(PROFILE["settle"]):
-        fleet.react_all(_tick(n + 1))
-    base = PROFILE["settle"] + 1
+    for n in range(profile["settle"]):
+        fleet.react_all(tick(n + 1))
+    base = profile["settle"] + 1
     start = time.perf_counter()
     for n in range(instants):
-        fleet.react_all(_tick(base + n))
+        fleet.react_all(tick(base + n))
     single_ms = (time.perf_counter() - start) * 1000.0
 
     with tempfile.TemporaryDirectory() as tmp, ShardManager(
         module,
         modules=table,
-        shards=PROFILE["shards"],
+        shards=profile["shards"],
         size=members,
         journal_dir=tmp,
         checkpoint_every=None,
         machine_kwargs={"host_globals": host_globals},
     ) as manager:
         manager.react_all({})
-        for n in range(PROFILE["settle"]):
-            manager.react_all(_tick(n + 1))
+        for n in range(profile["settle"]):
+            manager.react_all(tick(n + 1))
         start = time.perf_counter()
         for n in range(instants):
-            manager.react_all(_tick(base + n))
+            manager.react_all(tick(base + n))
         sharded_ms = (time.perf_counter() - start) * 1000.0
 
-    cores = _usable_cores()
+    cores = harness.usable_cores()
     speedup = single_ms / sharded_ms if sharded_ms else float("inf")
     gated = cores >= MIN_CORES_FOR_GATE
     payload = {
         "workload": "skini-large-score-fleet",
         "members": members,
         "instants": instants,
-        "shards": PROFILE["shards"],
-        "usable_cores": cores,
+        "shards": profile["shards"],
         "single_process_ms": round(single_ms, 2),
         "sharded_ms": round(sharded_ms, 2),
         "speedup": round(speedup, 2),
@@ -220,33 +161,10 @@ def test_sharded_react_all_throughput():
             f"only {cores} usable core(s); >= {MIN_CORES_FOR_GATE} needed "
             "for the parallel speedup gate"
         )
-    _update_bench_json("throughput", payload)
+    harness.write("shard", "throughput", payload)
     if gated:
         assert speedup >= THROUGHPUT_GATE, (
             f"sharded react_all speedup {speedup:.2f}x on {cores} cores; "
             f"gate {THROUGHPUT_GATE:.1f}x"
         )
 
-
-if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="reduced-size sweep for CI smoke runs",
-    )
-    if parser.parse_args().quick:
-        PROFILE.update(QUICK)
-    test_live_migration_within_reaction_budget()
-    test_sharded_react_all_throughput()
-    data = json.loads(BENCH_JSON.read_text())
-    mig, thr = data["migration"], data["throughput"]
-    print("S1 - sharded fleets (large Skini score)")
-    print(f"  migration:  {mig['migration_ms']:.3f} ms "
-          f"({mig['ratio']:.1f}x steady reaction "
-          f"{mig['steady_reaction_ms']:.4f} ms; gate {mig['gate']:.0f}x)")
-    enforced = "enforced" if thr["gate_enforced"] else "recorded only"
-    print(f"  throughput: {thr['members']} members x {thr['instants']} "
-          f"instants: single {thr['single_process_ms']:.1f} ms, "
-          f"sharded({thr['shards']}) {thr['sharded_ms']:.1f} ms -> "
-          f"{thr['speedup']:.2f}x on {thr['usable_cores']} core(s) "
-          f"(gate {thr['gate']:.1f}x, {enforced})")

@@ -3,41 +3,28 @@
 
     python benchmarks/report.py [--quick]
 
-``--quick`` runs a reduced-size sweep (smaller score, fewer rounds) so
-CI can smoke the whole report in seconds.  Either mode runs the
-full-size reaction gates of ``bench_reaction_time.py``, which write the
-machine-readable per-backend reaction medians to BENCH_reaction.json.
+A section that a benchmark gate owns (E6, C1, F1, R2, O1, S1, G1) runs
+that gate and prints what the gate wrote to its ``BENCH_*.json``; the
+other sections measure and print.  ``--quick`` switches every section
+to its reduced-size profile (smaller score, fleets and cohorts, fewer
+rounds) so CI can smoke the whole report, and writes the artifacts to
+``.benchmarks/quick/`` so the committed ones stay as they are.  The E6,
+C1, F1 and R2 gates have no reduced size and run in full either way.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-#: full-size vs --quick sweep parameters
-FULL = dict(
-    linear_sizes=(2, 8, 32, 64),
-    score_sections=60,
-    rounds=20,
-    fleet_size=1000,
-    fleet_uncached_sample=200,
-)
-QUICK = dict(
-    linear_sizes=(2, 8),
-    score_sections=8,
-    rounds=5,
-    fleet_size=200,
-    fleet_uncached_sample=25,
-)
-PROFILE = dict(FULL)
+#: full and quick profile sizes (see harness.pick)
+FULL = dict(linear_sizes=(2, 8, 32, 64), score_sections=60, rounds=20)
+QUICK = dict(linear_sizes=(2, 8), score_sections=8, rounds=5)
 
-BENCH_FLEET_JSON = Path(__file__).resolve().parent.parent / "BENCH_fleet.json"
-
+import harness  # noqa: E402
 from workloads import (  # noqa: E402
     compiled_machine,
     drive_steady_state,
@@ -47,29 +34,19 @@ from workloads import (  # noqa: E402
     statement_count,
 )
 
-from repro import CompileOptions, ReactiveMachine, compile_module  # noqa: E402
+from repro import CompileOptions, compile_module  # noqa: E402
 from repro.apps.pillbox import pillbox_table  # noqa: E402
 from repro.apps.skini import make_large_score  # noqa: E402
 from repro.apps.skini.score import generate_score_module  # noqa: E402
 
 
-def median_ms(fn, rounds=20):
-    samples = []
-    for _ in range(rounds):
-        start = time.perf_counter()
-        fn()
-        samples.append((time.perf_counter() - start) * 1000)
-    samples.sort()
-    return samples[len(samples) // 2]
-
-
 def e1_e2():
     print("E1/E2 - compile time and circuit size vs source size")
     rows = []
-    for units in PROFILE["linear_sizes"]:
+    for units in harness.pick(FULL, QUICK)["linear_sizes"]:
         module = linear_module(units)
         stmts = statement_count(module)
-        t = median_ms(lambda: compile_module(module), rounds=3)
+        t = harness.median_ms(compile_module, module, rounds=3)
         nets = compile_module(module).stats()["nets"]
         rows.append((stmts, t, nets))
         print(f"  {stmts:>5} stmts: compile {t:8.1f} ms, {nets:>6} nets "
@@ -100,7 +77,7 @@ def e4_e5():
     print("\nE5 - large Skini score (paper: ~10,000 nets, ~2.1 MB)")
     module, mtable = generate_score_module(
         make_large_score(
-            sections=PROFILE["score_sections"],
+            sections=harness.pick(FULL, QUICK)["score_sections"],
             groups_per_section=5,
             patterns_per_group=6,
         )
@@ -111,30 +88,19 @@ def e4_e5():
     print(f"  ours: {nets} nets, {size/1024/1024:.2f} MB, {size/nets:.0f} B/net")
 
 
-def _write_sections(path, sections):
-    data = {}
-    if path.exists():
-        try:
-            data = json.loads(path.read_text())
-        except ValueError:
-            data = {}
-    data.update(sections)
-    path.write_text(json.dumps(data, indent=2) + "\n")
-
-
 def e6():
     print("\nE6 - reaction time vs circuit size (paper: linear; <=15ms for the"
           " largest score vs a 300ms pulse); all three backends, see "
           "docs/performance.md")
     import bench_reaction_time
 
-    rounds = PROFILE["rounds"]
+    profile = harness.pick(FULL, QUICK)
     for backend in ("worklist", "levelized"):
         nets, times = [], []
-        for units in PROFILE["linear_sizes"]:
+        for units in profile["linear_sizes"]:
             machine = compiled_machine(units, backend=backend)
             inputs = drive_steady_state(machine)
-            t = median_ms(lambda: machine.react(inputs), rounds=rounds)
+            t = harness.median_ms(machine.react, inputs, rounds=profile["rounds"])
             nets.append(machine.stats()["nets"])
             times.append(t)
             print(f"  [{backend:>9}] {machine.stats()['nets']:>6} nets: "
@@ -147,7 +113,7 @@ def e6():
     # print what they recorded.
     bench_reaction_time.test_levelized_speedup_on_largest_score()
     bench_reaction_time.test_sparse_speedup_on_one_changed_input()
-    data = json.loads(bench_reaction_time.BENCH_JSON.read_text())
+    data = harness.read("reaction")
     steady = data["levelized_vs_worklist"]
     nets = steady["circuit"]["nets"]
     for backend, ms in steady["median_reaction_ms"].items():
@@ -160,7 +126,6 @@ def e6():
     print(f"  one-toggled-input workload: levelized "
           f"{medians['levelized']:.3f} ms, sparse {medians['sparse']:.3f} ms "
           f"({toggled['speedup']:.2f}x, gate 5x)")
-    print(f"  wrote {bench_reaction_time.BENCH_JSON.name}")
 
 
 def c1():
@@ -174,7 +139,7 @@ def c1():
         bench_compile.test_cold_start_from_artifact_store(Path(tmp))
     with tempfile.TemporaryDirectory() as tmp:
         bench_compile.test_linked_inlined_parity_smoke(Path(tmp))
-    data = json.loads(bench_compile.BENCH_JSON.read_text())
+    data = harness.read("compile")
     link, cache, cold = data["link"], data["link_cache"], data["cold_start"]
     print(f"  link: {link['instances']} instances x {link['stages']} stages: "
           f"inline {link['inline_ms']:.1f} ms -> linked {link['link_ms']:.1f} "
@@ -195,64 +160,25 @@ def c1():
         print(f"  nested runs depth {row['depth']} fanout {row['fanout']} "
               f"({row['leaves']} leaves): {row['speedup']:.2f}x "
               f"(reuse-proportional)")
-    print(f"  wrote {bench_compile.BENCH_JSON.name}")
 
 
 def f1():
     print("\nF1 - shared-plan fleets (compile cache + per-machine state)")
-    from repro import ReactiveMachine, clear_compile_cache
-    from repro.apps.skini import make_audience_fleet, participant_module
+    import bench_fleet
 
-    size = PROFILE["fleet_size"]
-    sample = PROFILE["fleet_uncached_sample"]
-    module = participant_module()
-
-    start = time.perf_counter()
-    for _ in range(sample):
-        clear_compile_cache()
-        ReactiveMachine(module)
-    per_uncached_ms = (time.perf_counter() - start) * 1000 / sample
-    uncached_ms = per_uncached_ms * size
-
-    clear_compile_cache()
-    start = time.perf_counter()
-    fleet = make_audience_fleet(size)
-    fleet_ms = (time.perf_counter() - start) * 1000
-    speedup = uncached_ms / fleet_ms
-    report = fleet.memory_report()
-
-    print(f"  fleet({size}):    {fleet_ms:8.1f} ms "
-          f"({1000 * fleet_ms / size:.0f} us/member)")
-    print(f"  uncached x{size}: {uncached_ms:8.1f} ms "
-          f"({per_uncached_ms:.2f} ms each, measured on {sample})")
-    print(f"  construction speedup: {speedup:.1f}x (gate in bench_fleet: 20x)")
-    print(f"  memory: shared {report['shared_bytes'] / 1024:.1f} KB + "
-          f"{report['per_machine_bytes']} B/machine; "
-          f"amortization {report['amortization']:.1f}x at {size} members")
-
-    _write_sections(
-        BENCH_FLEET_JSON,
-        {
-            "construction": {
-                "members": size,
-                "module": "Participant",
-                "fleet_ms": round(fleet_ms, 2),
-                "uncached_ms": round(uncached_ms, 2),
-                "uncached_sample": sample,
-                "per_member_us": round(1000 * fleet_ms / size, 2),
-                "speedup": round(speedup, 1),
-            },
-            "memory": {
-                "members": report["members"],
-                "shared_bytes": report["shared_bytes"],
-                "per_machine_bytes": report["per_machine_bytes"],
-                "total_bytes": report["total_bytes"],
-                "unshared_total_bytes": report["unshared_total_bytes"],
-                "amortization": round(report["amortization"], 2),
-            },
-        },
-    )
-    print(f"  wrote {BENCH_FLEET_JSON.name}")
+    bench_fleet.test_fleet_construction_amortization()
+    data = harness.read("fleet")
+    built, memory = data["construction"], data["memory"]
+    size = built["members"]
+    print(f"  fleet({size}):    {built['fleet_ms']:8.1f} ms "
+          f"({built['per_member_us']:.0f} us/member)")
+    print(f"  uncached x{size}: {built['uncached_ms']:8.1f} ms "
+          f"({built['uncached_ms'] / size:.2f} ms each)")
+    print(f"  construction speedup: {built['speedup']:.1f}x (gate "
+          f"{bench_fleet.CONSTRUCTION_GATE:.0f}x)")
+    print(f"  memory: shared {memory['shared_bytes'] / 1024:.1f} KB + "
+          f"{memory['per_machine_bytes']} B/machine; "
+          f"amortization {memory['amortization']:.1f}x at {memory['members']} members")
 
 
 def e7():
@@ -282,9 +208,6 @@ def r1():
 def r2():
     print("\nR2 - durable recovery (snapshot/restore + journal tail replay)")
     from bench_recovery import (
-        BENCH_JSON as BENCH_RECOVERY_JSON,
-    )
-    from bench_recovery import (
         test_checkpointed_recovery_within_reaction_budget,
         test_replay_100_instants_byte_identical,
         test_snapshot_restore_round_trip_cost,
@@ -293,7 +216,7 @@ def r2():
     test_snapshot_restore_round_trip_cost()
     test_replay_100_instants_byte_identical()
     test_checkpointed_recovery_within_reaction_budget()
-    data = json.loads(BENCH_RECOVERY_JSON.read_text())
+    data = harness.read("recovery")
     snap, replay, rec = data["snapshot"], data["replay"], data["recovery"]
     print(f"  checkpoint: snapshot {snap['snapshot_ms']:.3f} ms, restore "
           f"{snap['restore_ms']:.3f} ms, payload {snap['payload_bytes']/1024:.1f} KB "
@@ -304,7 +227,6 @@ def r2():
     print(f"  recovery (journal tail {rec['journal_tail']}, checkpoint_every "
           f"{rec['checkpoint_every']}): {rec['recovery_ms']:.3f} ms = "
           f"{rec['ratio']:.1f}x one steady reaction (gate {rec['gate']:.0f}x)")
-    print(f"  wrote {BENCH_RECOVERY_JSON.name}")
 
 
 def o1():
@@ -312,12 +234,10 @@ def o1():
           " load)")
     import bench_overload
 
-    if PROFILE["fleet_size"] < FULL["fleet_size"]:
-        bench_overload.PROFILE.update(bench_overload.QUICK)
     bench_overload.test_overload_p99_within_gate()
     bench_overload.test_bounded_policies_shed_exactly()
     bench_overload.test_reaction_budget_overhead()
-    data = json.loads(bench_overload.BENCH_JSON.read_text())
+    data = harness.read("overload")
     steady, over = data["steady"], data["overload"]
     print(f"  steady ({steady['members']} members): median "
           f"{steady['median_ms']:.4f} ms, p99 {steady['p99_ms']:.4f} ms")
@@ -332,18 +252,15 @@ def o1():
         f"{policy} {entry['shed']}/{entry['offered']}"
         for policy, entry in policies.items()))
     print(f"  budget overhead: {data['budget_overhead']['ratio']:.2f}x")
-    print(f"  wrote {bench_overload.BENCH_JSON.name}")
 
 
 def s1():
     print("\nS1 - sharded fleets (multi-process react_all + live migration)")
     import bench_shard
 
-    if PROFILE["fleet_size"] < FULL["fleet_size"]:
-        bench_shard.PROFILE.update(bench_shard.QUICK)
     bench_shard.test_live_migration_within_reaction_budget()
     bench_shard.test_sharded_react_all_throughput()
-    data = json.loads(bench_shard.BENCH_JSON.read_text())
+    data = harness.read("shard")
     mig, thr = data["migration"], data["throughput"]
     print(f"  migration: {mig['migration_ms']:.3f} ms = {mig['ratio']:.1f}x "
           f"one sharded steady reaction ({mig['steady_reaction_ms']:.4f} ms; "
@@ -352,19 +269,16 @@ def s1():
     print(f"  throughput: {thr['members']} members x {thr['instants']} "
           f"instants over {thr['shards']} shards: "
           f"{thr['speedup']:.2f}x single-process on "
-          f"{thr['usable_cores']} core(s) (gate {thr['gate']:.1f}x, "
+          f"{thr['env']['usable_cores']} core(s) (gate {thr['gate']:.1f}x, "
           f"{enforced})")
-    print(f"  wrote {bench_shard.BENCH_JSON.name}")
 
 
 def g1():
     print("\nG1 - network edge (WebSocket gateway chaos reconnect storm)")
     import bench_gateway
 
-    if PROFILE["fleet_size"] < FULL["fleet_size"]:
-        bench_gateway.PROFILE.update(bench_gateway.QUICK)
     bench_gateway.test_gateway_storm_gates()
-    data = json.loads(bench_gateway.BENCH_JSON.read_text())
+    data = harness.read("gateway")
     unloaded, clean, storm = data["unloaded"], data["clean"], data["storm"]
     print(f"  unloaded: p50 {unloaded['p50_ms']:.3f} ms, "
           f"p99 {unloaded['p99_ms']:.3f} ms")
@@ -377,7 +291,6 @@ def g1():
           f"digest parity {storm['digest_parity']}")
     print(f"  p99 {storm['p99_ms']:.2f} ms = {storm['ratio']:.2f}x clean "
           f"p99 (gate {storm['gate']:.0f}x)")
-    print(f"  wrote {bench_gateway.BENCH_JSON.name}")
 
 
 def a1():
@@ -399,10 +312,11 @@ if __name__ == "__main__":
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="reduced-size sweep for CI smoke runs",
+        help="reduced-size sweep for CI smoke runs; artifacts go to "
+        ".benchmarks/quick/",
     )
     if parser.parse_args().quick:
-        PROFILE.update(QUICK)
+        harness.use_quick()
     e1_e2()
     e3()
     e4_e5()
@@ -416,3 +330,4 @@ if __name__ == "__main__":
     s1()
     g1()
     a1()
+    print(f"\nBENCH_*.json written to {harness.out_dir()}")

@@ -9,7 +9,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
+import harness
 from repro import CompileOptions, ReactiveMachine, compile_module, parse_module
+from repro.apps.skini import make_large_score
+from repro.apps.skini.score import generate_score_module
 from repro.lang.ast import Module
 
 
@@ -134,6 +137,32 @@ def nested_run(depth: int, fanout: int = 2):
 
     table = parse_program(nested_run_source(depth, fanout))
     return table.get(f"Level{depth}"), table
+
+
+def and_bool(a, b):
+    """The generated Skini score's host predicate ``andBool``.  It is
+    module-level so that shard worker processes resolve it by name."""
+    return bool(a and b)
+
+
+def mid_score():
+    """The mid-size Skini score (8 sections, 724 nets) that the fleet,
+    recovery and shard benches drive; returns ``(module, table)``.  Its
+    machines need ``host_globals={"andBool": and_bool}``."""
+    score = make_large_score(sections=8, groups_per_section=5, patterns_per_group=6)
+    return generate_score_module(score)
+
+
+def tick(n):
+    """The score's clock inputs for second ``n``."""
+    return {"seconds": n, "second": True}
+
+
+def steady_ms(machine, rounds):
+    """Median wall time, in ms, of ``rounds`` steady score reactions."""
+    return harness.median(
+        [harness.time_ms(machine.react, tick(machine.reaction_count)) for _ in range(rounds)]
+    )
 
 
 def compiled_machine(
