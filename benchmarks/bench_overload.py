@@ -21,7 +21,12 @@ here and recorded in BENCH_overload.json:
   dropped);
 * ``shedding``: the bounded alternatives (``reject`` / ``drop-oldest``)
   under the same burst shape — how much each policy sheds, and that
-  the shed count is exact (accounted, not silent).
+  the shed count is exact (accounted, not silent);
+* ``pump_scaling`` (gated): what one tap costs the pump — an offer to
+  one member, the round that drives it and the empty round that ends
+  every ``Gateway.pump_now`` — on a 16-member and a 1000-member
+  ingress.  A round visits only members with mail, so **the 1000-member
+  median must stay within 1.5x the 16-member median**.
 """
 
 import itertools
@@ -38,6 +43,11 @@ QUICK = dict(fleet_size=100, events=2_000, slices=5, capacity=64)
 
 OVERLOAD_FACTOR = 10.0
 P99_GATE = 5.0
+
+#: pump-scaling gate: fleet sizes compared, samples taken on each
+SCALING_SIZES = (16, 1000)
+SCALING_SAMPLES = 300
+SCALING_GATE = 1.5
 
 
 class _RecordingClock:
@@ -269,3 +279,48 @@ def test_reaction_budget_overhead():
     # sanity only: budget checking must not change what gets computed
     assert ratio > 0
 
+
+def _tap(ingress, index):
+    ingress.offer(index, _participant_inputs(index))
+    ingress.pump()
+    ingress.pump()  # the empty round that ends every Gateway.pump_now
+
+
+def test_pump_cost_flat_in_fleet_size():
+    """One member with mail costs the same to pump whatever the fleet
+    size: timed taps alternate between a 16-member and a 1000-member
+    ingress, driving the same members in the same order, and the large
+    median must stay within 1.5x the small one."""
+    ingresses = []
+    for size in SCALING_SIZES:
+        fleet = make_audience_fleet(size)
+        fleet.react_all({})
+        ingresses.append(fleet.ingress(capacity=64))
+    members = SCALING_SIZES[0]  # both drive the small fleet's members
+    for step in range(20):  # warm-up, not recorded
+        for ingress in ingresses:
+            _tap(ingress, step % members)
+    samples = ([], [])
+    for step in range(SCALING_SAMPLES):
+        for taps, ingress in zip(samples, ingresses):
+            taps.append(harness.time_ms(_tap, ingress, step % members))
+    for ingress in ingresses:
+        ingress.check_accounting()
+        assert ingress.stats()["pending"] == 0
+    small_ms, large_ms = (harness.median(taps) for taps in samples)
+    ratio = large_ms / small_ms
+    harness.write(
+        "overload", "pump_scaling",
+        {
+            "members": list(SCALING_SIZES),
+            "samples": SCALING_SAMPLES,
+            "median_ms": [round(small_ms, 5), round(large_ms, 5)],
+            "ratio": round(ratio, 2),
+            "gate": SCALING_GATE,
+        },
+    )
+    assert ratio <= SCALING_GATE, (
+        f"one pumped tap costs {large_ms:.4f} ms on {SCALING_SIZES[1]} members "
+        f"against {small_ms:.4f} ms on {SCALING_SIZES[0]}: {ratio:.1f}x (gate "
+        f"{SCALING_GATE}x), so a pump round grows with the fleet"
+    )

@@ -237,6 +237,7 @@ def o1():
     bench_overload.test_overload_p99_within_gate()
     bench_overload.test_bounded_policies_shed_exactly()
     bench_overload.test_reaction_budget_overhead()
+    bench_overload.test_pump_cost_flat_in_fleet_size()
     data = harness.read("overload")
     steady, over = data["steady"], data["overload"]
     print(f"  steady ({steady['members']} members): median "
@@ -252,6 +253,11 @@ def o1():
         f"{policy} {entry['shed']}/{entry['offered']}"
         for policy, entry in policies.items()))
     print(f"  budget overhead: {data['budget_overhead']['ratio']:.2f}x")
+    scaling = data["pump_scaling"]
+    (small, large), (small_ms, large_ms) = scaling["members"], scaling["median_ms"]
+    print(f"  pump scaling (one member with mail): {small} members "
+          f"{small_ms:.4f} ms, {large} members {large_ms:.4f} ms = "
+          f"{scaling['ratio']:.2f}x (gate {scaling['gate']}x)")
 
 
 def s1():

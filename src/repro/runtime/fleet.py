@@ -23,6 +23,8 @@ Typical use::
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
+from functools import partial
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.errors import FleetReactionError, MachineError
@@ -427,7 +429,8 @@ class FleetIngress:
         halves (down to ``min_batch``); when comfortably below (80 %),
         the batch grows by one (up to ``max_batch``).
     :param min_batch: smallest adaptive batch (members per pump round).
-    :param max_batch: largest adaptive batch (default: the fleet size).
+    :param max_batch: largest adaptive batch (default: the fleet size,
+        following it as :meth:`add_member` grows the fleet).
     :param ewma_alpha: smoothing factor of the latency EWMA.
     :param budget: reaction deadline forwarded to every pumped react.
     :param coalesce_on_pump: collapse each member's whole backlog into
@@ -467,12 +470,14 @@ class FleetIngress:
         #: member indices removed from routing (shard migration sources);
         #: their mailbox slots stay so historic indices remain stable
         self.retired: set = set()
-        self.mailboxes: List[Mailbox] = [
-            Mailbox.for_machine(machine, capacity=capacity, policy=policy)
-            for machine in fleet
-        ]
-        for machine, mailbox in zip(fleet, self.mailboxes):
-            machine.attach_mailbox(mailbox)
+        #: the ready list: sorted indices of members whose mailbox may hold
+        #: mail.  Every member with mail is listed (its mailbox's
+        #: ``on_mail`` lists it when an offer ends its emptiness); a listed
+        #: member found empty is dropped by the pump round that meets it
+        self._ready: List[int] = []
+        self.mailboxes: List[Mailbox] = []
+        for machine in fleet:
+            self._attach(machine)
         self.bucket: Optional[TokenBucket] = (
             TokenBucket(rate_per_s, burst) if rate_per_s is not None else None
         )
@@ -481,6 +486,8 @@ class FleetIngress:
         if min_batch < 1:
             raise ValueError("min_batch must be >= 1")
         self.min_batch = min_batch
+        #: a default max_batch follows the membership (see add_member)
+        self._max_batch_follows = max_batch is None
         self.max_batch = max_batch if max_batch is not None else max(1, len(fleet))
         if self.max_batch < self.min_batch:
             raise ValueError("max_batch must be >= min_batch")
@@ -524,7 +531,8 @@ class FleetIngress:
         already restored; it is appended to the fleet) or spawn a fresh
         one from the fleet's shared plan.  The new member gets its own
         mailbox (same capacity/policy as the rest) and its index is
-        returned.
+        returned.  A default ``max_batch`` follows the membership, and so
+        does ``batch_size`` when batching is not adaptive.
 
         When a ``supervisor`` was given at construction, the caller must
         keep its ``members`` roster aligned (append a supervisor for the
@@ -534,13 +542,32 @@ class FleetIngress:
             machine = self.fleet.spawn(**overrides)
         else:
             self.fleet._machines.append(machine)
+        self._attach(machine)
+        if self._max_batch_follows:
+            self.max_batch = max(self.max_batch, len(self.mailboxes))
+            if self.target_latency_ms is None:
+                self.batch_size = self.max_batch
+        return len(self.mailboxes) - 1
+
+    def _attach(self, machine: Any) -> None:
         mailbox = Mailbox.for_machine(
             machine, capacity=self._capacity, policy=self._policy
         )
+        mailbox.on_mail = partial(self._list, len(self.mailboxes))
         machine.attach_mailbox(mailbox)
         self.mailboxes.append(mailbox)
-        self.max_batch = max(self.max_batch, len(self.mailboxes))
-        return len(self.mailboxes) - 1
+
+    def _list(self, index: int) -> None:
+        ready = self._ready
+        at = bisect_left(ready, index)
+        if at == len(ready) or ready[at] != index:
+            ready.insert(at, index)
+
+    def _unlist(self, index: int) -> None:
+        ready = self._ready
+        at = bisect_left(ready, index)
+        if at < len(ready) and ready[at] == index:
+            del ready[at]
 
     def retire(self, index: int) -> List[Dict[str, Any]]:
         """Remove member ``index`` from routing (a migration source
@@ -559,7 +586,13 @@ class FleetIngress:
         """Offer one input map to member ``index``; returns the recorded
         admission decision (including :data:`~repro.runtime.ingress.RATE_LIMITED`
         when the token bucket refuses — the offer never reaches the
-        mailbox but is still on the record)."""
+        mailbox but is still on the record).  A retired member admits
+        nothing: the offer raises :class:`~repro.errors.MachineError`
+        before it is counted."""
+        if index in self.retired:
+            raise MachineError(
+                f"member {index} is retired; no new input is admitted to it"
+            )
         self.stats_counters["offered"] += 1
         if self.bucket is not None and not self.bucket.try_acquire(now_ms):
             self.stats_counters["rate_limited"] += 1
@@ -607,23 +640,36 @@ class FleetIngress:
         ``coalesce_on_pump`` the member's whole backlog is first
         collapsed into one merged instant.  Failures are collected in
         :attr:`last_failures` without aborting the round; react latency
-        feeds the EWMA and resizes the next round's batch."""
-        size = len(self.mailboxes)
+        feeds the EWMA and resizes the next round's batch.
+
+        A round visits only the ready list, from the cursor on, so it
+        costs O(members with mail), not O(members)."""
+        ready, mailboxes = self._ready, self.mailboxes
         chosen: List[int] = []
-        for step in range(size):
-            index = (self._cursor + step) % size
-            if self.mailboxes[index].pending and self.is_healthy(index):
+        emptied: List[int] = []
+        start = bisect_left(ready, self._cursor)
+        for step in range(len(ready)):
+            index = ready[(start + step) % len(ready)]
+            if not mailboxes[index].pending:
+                emptied.append(index)  # drained elsewhere since it was listed
+            elif self.is_healthy(index):
                 chosen.append(index)
                 if len(chosen) >= self.batch_size:
                     break
-        self._cursor = (chosen[-1] + 1) % size if chosen else self._cursor
+        for index in emptied:
+            self._unlist(index)
+        if chosen:
+            self._cursor = (chosen[-1] + 1) % len(mailboxes)
         results: Dict[int, ReactionResult] = {}
         failures: Dict[int, BaseException] = {}
         for index in chosen:
-            mailbox = self.mailboxes[index]
+            mailbox = mailboxes[index]
             if self.coalesce_on_pump:
                 mailbox.collapse()
             inputs = mailbox.take()
+            if not mailbox.pending:
+                # before the react, so a hook's re-offer lists it again
+                self._unlist(index)
             started = clock()
             try:
                 results[index] = self._react_member(index, inputs)
@@ -649,7 +695,8 @@ class FleetIngress:
         results: Dict[int, ReactionResult] = {}
         for _ in range(max_rounds):
             if not any(
-                self.mailboxes[i].pending for i in self.healthy_members()
+                self.mailboxes[i].pending and self.is_healthy(i)
+                for i in self._ready
             ):
                 break
             results.update(self.pump(clock))

@@ -85,13 +85,15 @@ REPLAY_BUFFER = 256
 OUTBOUND_CAPACITY = 32
 #: dedupe window: applied event ids remembered per session
 APPLIED_WINDOW = 4096
+#: admit->diff latency samples kept for ``/statsz`` (the most recent)
+LATENCY_WINDOW = 8192
 
 
 def _json_bytes(obj: Any) -> str:
     return json.dumps(obj, separators=(",", ":"), default=str)
 
 
-def _percentile(samples: List[float], q: float) -> float:
+def _percentile(samples: Deque[float], q: float) -> float:
     if not samples:
         return 0.0
     ordered = sorted(samples)
@@ -407,8 +409,9 @@ class Gateway:
         self._running = False
         self._booted = False
 
-        #: admitted-event → diff latency samples (ms), server side
-        self.latency_samples: List[float] = []
+        #: admitted-event → diff latency samples (ms), server side, the
+        #: last :data:`LATENCY_WINDOW` of them
+        self.latency_samples: Deque[float] = deque(maxlen=LATENCY_WINDOW)
         self._pending_stamps: Dict[int, List[float]] = {}
         self.instant_log: Dict[int, List[Dict[str, Any]]] = {}
         self._record_instants = record_instants
@@ -549,8 +552,6 @@ class Gateway:
             for t0 in stamps:
                 self.latency_samples.append((now - t0) * 1000.0)
             stamps.clear()
-            if len(self.latency_samples) > 500_000:  # pragma: no cover
-                del self.latency_samples[:250_000]
         session = self._session_of_member.get(index)
         if session is None:
             self.counters["diffs_unattended"] += 1

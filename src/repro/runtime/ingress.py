@@ -90,6 +90,11 @@ class Mailbox:
     :param combines: per-signal combine functions for ``coalesce``
         (typically harvested from the machine via :meth:`for_machine`).
     :param name: label used in error messages and stats.
+
+    :attr:`on_mail`, when set, is called with no arguments each time an
+    offer turns an empty queue into a non-empty one; a
+    :class:`~repro.runtime.fleet.FleetIngress` uses it to list its
+    member as ready, so a pump round visits only members with mail.
     """
 
     def __init__(
@@ -119,6 +124,8 @@ class Mailbox:
             "rejected": 0,
             "dropped": 0,
         }
+        #: called when an offer ends the queue's emptiness (no owner: None)
+        self.on_mail: Optional[Callable[[], None]] = None
 
     @classmethod
     def for_machine(
@@ -152,6 +159,8 @@ class Mailbox:
         if len(self._queue) < self.capacity:
             self._queue.append(entry)
             self.stats["admitted"] += 1
+            if len(self._queue) == 1 and self.on_mail is not None:
+                self.on_mail()
             return ADMITTED
         if self.policy == "coalesce":
             self._queue[-1] = merge_inputs(self._queue[-1], entry, self.combines)

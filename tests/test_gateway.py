@@ -21,6 +21,7 @@ The load-bearing properties:
 
 import asyncio
 import json
+import time
 
 import pytest
 
@@ -28,6 +29,7 @@ from repro import Gateway, GatewayClient, MachineError
 from repro.apps.skini.participant import make_audience_fleet
 from repro.host.netchaos import ChaosTransport, memory_pipe
 from repro.runtime import wsproto
+from repro.runtime.gateway import LATENCY_WINDOW
 from repro.runtime.wsproto import (
     OP_BINARY,
     OP_CLOSE,
@@ -654,6 +656,28 @@ class TestObservability:
 
             for client in clients:
                 await client.close()
+            await gw.aclose()
+
+        run(scenario())
+
+    def test_latency_samples_keep_the_last_window(self):
+        async def scenario():
+            gw = make_gateway()
+            await gw.start()
+            client = GatewayClient(gw.local_connector(), seed=9)
+            await client.connect()
+            member = gw.sessions[client.sid].member
+            # one delivery past the bound: stamps for LATENCY_WINDOW + 100
+            # admitted events, the last of them sent for real
+            stamps = gw._pending_stamps.setdefault(member, [])
+            stamps.extend([time.perf_counter()] * (LATENCY_WINDOW + 99))
+            await client.send_event({"select": 1})
+            await gw.drain()
+            status, stats = await _http_get(gw, "/statsz")
+            assert status == 200
+            assert stats["gateway"]["latency_ms"]["samples"] == LATENCY_WINDOW
+            assert len(gw.latency_samples) == LATENCY_WINDOW
+            await client.close()
             await gw.aclose()
 
         run(scenario())

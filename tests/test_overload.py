@@ -379,6 +379,37 @@ class TestLatencyEwma:
             LatencyEwma(alpha=0.0)
 
 
+def _full_scan(ingress):
+    """The reference for a pump round's choice, a scan over every member
+    cyclic from the cursor: healthy members with mail, up to
+    ``batch_size``.  Returns ``(chosen, next cursor)``."""
+    size = len(ingress.mailboxes)
+    chosen = []
+    for step in range(size):
+        index = (ingress._cursor + step) % size
+        if ingress.mailboxes[index].pending and ingress.is_healthy(index):
+            chosen.append(index)
+            if len(chosen) >= ingress.batch_size:
+                break
+    cursor = (chosen[-1] + 1) % size if chosen else ingress._cursor
+    return chosen, cursor
+
+
+_READY_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["offer", "offer", "offer", "machine_offer"]),
+                  st.integers(0, 7), st.integers(1, 9)),
+        st.tuples(st.just("pump"), st.integers(1, 3)),
+        st.tuples(st.sampled_from(["machine_pump", "retire", "quarantine",
+                                   "revive"]),
+                  st.integers(0, 7)),
+        st.tuples(st.sampled_from(["pump_all", "add_member"])),
+    ),
+    min_size=8,
+    max_size=40,
+)
+
+
 class TestFleetIngress:
     def _fleet(self, size=4, **kwargs):
         fleet = MachineFleet(
@@ -496,6 +527,138 @@ class TestFleetIngress:
         total = sum(machine.signal("total").nowval or 0 for machine in fleet)
         # zero silent drops: every admitted-or-coalesced add=1 is summed
         assert total == stats["admitted"] + stats["coalesced"]
+
+    def test_offer_to_retired_member_raises(self):
+        fleet, ingress = self._fleet(size=3)
+        ingress.offer(1, {"add": 1})
+        assert ingress.retire(1) == [{"add": 1}]
+        with pytest.raises(MachineError):
+            ingress.offer(1, {"add": 2})
+        assert ingress.mailboxes[1].pending == 0
+        assert ingress.stats()["offered"] == 1
+        ingress.check_accounting()
+
+    def test_default_max_batch_follows_membership(self):
+        fleet, ingress = self._fleet(size=1)
+        for _ in range(3):
+            ingress.add_member()
+        assert ingress.max_batch == ingress.batch_size == 4
+        for index in range(4):
+            ingress.offer(index, {"add": 1})
+        assert list(ingress.pump()) == [0, 1, 2, 3]
+        # adaptive batching keeps its own batch size
+        fleet, ingress = self._fleet(size=2, target_latency_ms=5.0)
+        ingress.batch_size = 1
+        ingress.add_member()
+        assert ingress.max_batch == 3 and ingress.batch_size == 1
+
+    def test_explicit_max_batch_survives_add_member(self):
+        fleet, ingress = self._fleet(size=4, max_batch=2)
+        ingress.add_member()
+        assert ingress.max_batch == ingress.batch_size == 2
+
+    @given(size=st.integers(1, 6), coalesce=st.booleans(), ops=_READY_OPS)
+    @settings(**_SETTINGS)
+    def test_rounds_match_the_full_scan(self, size, coalesce, ops):
+        fleet, _ = self._fleet(size)
+        supervisor = FleetSupervisor(fleet, max_retries=0, quarantine_after=1)
+        ingress = fleet.ingress(
+            capacity=3, supervisor=supervisor, coalesce_on_pump=coalesce
+        )
+        pumped = []
+        ingress.on_instant = lambda index, inputs: pumped.append(index)
+        direct = 0  # offers straight to a member's mailbox
+        for op, *args in ops:
+            member = args[0] % len(ingress) if args else None
+            if op == "offer":
+                if member in ingress.retired:
+                    with pytest.raises(MachineError):
+                        ingress.offer(member, {"add": args[1]})
+                else:
+                    ingress.offer(member, {"add": args[1]})
+            elif op == "machine_offer":
+                fleet[member].offer({"add": args[1]})
+                direct += 1
+            elif op == "machine_pump":
+                fleet[member].pump()
+            elif op == "retire":
+                ingress.retire(member)
+            elif op == "quarantine":
+                if not supervisor.members[member].quarantined:
+                    with pytest.raises(ReactionBudgetExceeded):
+                        supervisor.members[member].react({"add": 1}, budget=1)
+            elif op == "revive":
+                supervisor.revive(member)
+            elif op == "add_member":
+                index = ingress.add_member()
+                supervisor.members.append(MachineSupervisor(
+                    fleet[index], max_retries=0, quarantine_after=1
+                ))
+            elif op == "pump":
+                ingress.batch_size = args[0]
+                expected, cursor = _full_scan(ingress)
+                pumped.clear()
+                ingress.pump()
+                assert pumped == expected
+                assert ingress._cursor == cursor
+            else:
+                ingress.pump_all()
+                assert _full_scan(ingress)[0] == []
+            if direct:
+                # a direct offer is on its mailbox's record only
+                for mailbox in ingress.mailboxes:
+                    mailbox.check_accounting()
+                assert ingress.stats()["offered"] + direct == sum(
+                    m.stats["offered"] for m in ingress.mailboxes
+                )
+            else:
+                ingress.check_accounting()
+            with_mail = [i for i, m in enumerate(ingress.mailboxes) if m.pending]
+            assert set(with_mail) <= set(ingress._ready)
+            assert ingress._ready == sorted(set(ingress._ready))
+
+    def test_rounds_are_round_robin_from_the_cursor(self):
+        fleet, ingress = self._fleet(size=3)
+        ingress.batch_size = 1
+        for index in range(3):
+            ingress.offer(index, {"add": 1})
+        assert list(ingress.pump()) == [0]
+        ingress.offer(0, {"add": 1})
+        assert [list(ingress.pump()) for _ in range(4)] == [[1], [2], [0], []]
+
+    def test_round_reads_only_listed_mailboxes(self, monkeypatch):
+        fleet, ingress = self._fleet(1000)
+        for index in range(1000):
+            ingress.offer(index, {"add": 1})
+            fleet[index].pump()  # emptied elsewhere: still listed
+        assert ingress.pump() == {}  # the round drops every emptied member
+        ingress.offer(617, {"add": 1})
+        reads = []
+        pending = Mailbox.pending.fget
+        monkeypatch.setattr(
+            Mailbox, "pending",
+            property(lambda mailbox: reads.append(mailbox) or pending(mailbox)),
+        )
+        assert list(ingress.pump()) == [617]
+        assert len(reads) <= 3
+        reads.clear()
+        ingress.offer(3, {"add": 1})
+        assert list(ingress.pump_all()) == [3]
+        assert len(reads) <= 6
+
+    def test_hook_reoffer_to_pumped_member_drives_it_next_round(self):
+        fleet, ingress = self._fleet(3)
+
+        def reoffer_once(index, inputs):
+            if inputs == {"add": 1}:
+                ingress.offer(index, {"add": 10})
+
+        ingress.on_instant = reoffer_once
+        ingress.offer(1, {"add": 1})
+        assert list(ingress.pump()) == [1]
+        assert ingress.mailboxes[1].pending == 1
+        assert {i: r["total"] for i, r in ingress.pump().items()} == {1: 11}
+        assert ingress.pump() == {}
 
 
 # ---------------------------------------------------------------------------
