@@ -13,12 +13,16 @@ claims are gated here and recorded in BENCH_fleet.json:
   floor, so this is also what ``backend="auto"`` picks);
 * lockstep word parallelism: a 1024-member audience driven through the
   bit-parallel word engine must beat the scalar shared-plan drive ≥10×
-  under all-shared inputs and ≥2× with 10% of the fleet pinned scalar.
+  under all-shared inputs and ≥2× with 10% of the fleet pinned scalar;
+* lockstep churn: a broadcast after 20 members tapped (each demoted out
+  of the word) must cost ≤2.5× a quiescent broadcast, so churn costs
+  O(members that changed), not O(fleet).
 
 The per-member memory split (shared compiled plan vs per-machine state)
 rides along for the report.
 """
 
+import random
 import time
 
 import harness
@@ -33,6 +37,9 @@ STEADY_STATE_GATE = 2.0
 LOCKSTEP_MEMBERS = 1024
 LOCKSTEP_SHARED_GATE = 10.0
 LOCKSTEP_MIXED_GATE = 2.0
+CHURN_ROUNDS = 400
+CHURN_TAPPERS = 20
+CHURN_GATE = 2.5
 
 
 def test_fleet_construction_amortization():
@@ -191,6 +198,58 @@ def test_fleet_lockstep_word_parallel_speedup():
     assert mixed_speedup >= LOCKSTEP_MIXED_GATE, (
         f"mixed lockstep only {mixed_speedup:.1f}x "
         f"(word {mixed_word_ms:.3f} ms, scalar {shared_scalar_ms:.3f} ms)"
+    )
+
+
+def test_churned_broadcast_near_quiescent():
+    """The churn gate: on a 1024-member audience, a broadcast taken after
+    20 members each tapped select/grant/stop (``react_one``, which demotes
+    the member out of the word) against a quiescent broadcast.
+
+    Each of 400 rounds: one untimed broadcast settles the last round, a
+    timed quiescent broadcast, 20 members tap, a timed churned
+    broadcast.  The churned median must stay ≤2.5× the quiescent one:
+    the tapped members rejoin the word before the instant instead of
+    reacting scalar, and nothing in the broadcast walks the whole fleet
+    for them."""
+    fleet = make_audience_fleet(LOCKSTEP_MEMBERS)
+    engine = fleet._engine
+    assert engine is not None, "auto policy should pick lockstep"
+    order = random.Random(0).sample(range(LOCKSTEP_MEMBERS), LOCKSTEP_MEMBERS)
+    taps = ({"select": "p"}, {"grant": "p"}, {"stop": True})
+    fleet.react_all({})
+    promotions, demotions = engine.promotions, sum(engine.demotions.values())
+    quiescent, churned = [], []
+    for round_ in range(CHURN_ROUNDS):
+        fleet.react_all({})
+        quiescent.append(harness.time_ms(fleet.react_all, {}))
+        for j in range(CHURN_TAPPERS):
+            member = order[(round_ * CHURN_TAPPERS + j) % LOCKSTEP_MEMBERS]
+            for inputs in taps:
+                fleet.react_one(member, inputs)
+        churned.append(harness.time_ms(fleet.react_all, {}))
+    assert engine.resident_count == LOCKSTEP_MEMBERS
+    quiescent_ms, churned_ms = harness.median(quiescent), harness.median(churned)
+    ratio = churned_ms / quiescent_ms
+    harness.write(
+        "fleet", "lockstep_churn",
+        {
+            "members": LOCKSTEP_MEMBERS,
+            "rounds": CHURN_ROUNDS,
+            "tappers": CHURN_TAPPERS,
+            "quiescent_ms": round(quiescent_ms, 4),
+            "churned_ms": round(churned_ms, 4),
+            "ratio": round(ratio, 2),
+            "promotions_per_round": (engine.promotions - promotions) / CHURN_ROUNDS,
+            "demotions_per_round": (
+                sum(engine.demotions.values()) - demotions
+            ) / CHURN_ROUNDS,
+            "gate": CHURN_GATE,
+        },
+    )
+    assert ratio <= CHURN_GATE, (
+        f"churned broadcast {ratio:.2f}x a quiescent one (churned "
+        f"{churned_ms:.3f} ms, quiescent {quiescent_ms:.3f} ms)"
     )
 
 

@@ -167,6 +167,8 @@ def f1():
     import bench_fleet
 
     bench_fleet.test_fleet_construction_amortization()
+    bench_fleet.test_fleet_lockstep_word_parallel_speedup()
+    bench_fleet.test_churned_broadcast_near_quiescent()
     data = harness.read("fleet")
     built, memory = data["construction"], data["memory"]
     size = built["members"]
@@ -179,6 +181,18 @@ def f1():
     print(f"  memory: shared {memory['shared_bytes'] / 1024:.1f} KB + "
           f"{memory['per_machine_bytes']} B/machine; "
           f"amortization {memory['amortization']:.1f}x at {memory['members']} members")
+    lockstep, churn = data["lockstep"], data["lockstep_churn"]
+    shared, mixed = lockstep["shared_inputs"], lockstep["mixed_10pct_scalar"]
+    print(f"  lockstep({lockstep['members']}), shared inputs: "
+          f"{shared['lockstep_ms']:.4f} ms vs scalar {shared['scalar_ms']:.3f} ms "
+          f"= {shared['speedup']:.1f}x (gate {bench_fleet.LOCKSTEP_SHARED_GATE:.0f}x)")
+    print(f"  lockstep, 10% pinned scalar ({mixed['resident']} resident): "
+          f"{mixed['lockstep_ms']:.4f} ms = {mixed['speedup']:.1f}x "
+          f"(gate {bench_fleet.LOCKSTEP_MIXED_GATE:.0f}x)")
+    print(f"  lockstep churn ({churn['tappers']} members tapped): "
+          f"{churn['churned_ms']:.4f} ms vs quiescent "
+          f"{churn['quiescent_ms']:.4f} ms = {churn['ratio']:.2f}x "
+          f"(gate {churn['gate']}x)")
 
 
 def e7():

@@ -40,13 +40,13 @@ from repro.runtime.ingress import (
     Mailbox,
     TokenBucket,
 )
-from repro.runtime.lockstep import LockstepFleet
+from repro.runtime.lockstep import LockstepFleet, bits_of
 from repro.runtime.machine import BACKENDS, ModuleLike, ReactionResult, ReactiveMachine
 
 #: ``backend="auto"`` fleets enable the lockstep word engine only at or
 #: above this construction size: below it, the per-instant word overhead
-#: (plane rolls, batch partitioning) costs more than the handful of
-#: scalar reactions it replaces.
+#: (plane rolls, the word sweep) costs more than the handful of scalar
+#: reactions it replaces.
 LOCKSTEP_MIN_MEMBERS = 64
 
 
@@ -105,10 +105,6 @@ class MachineFleet:
         self._member_backend = "auto" if backend == "lockstep" else backend
         self._machine_kwargs = machine_kwargs
         self._machines: List[ReactiveMachine] = []
-        #: cached full-broadcast partition, keyed on the engine's
-        #: membership generation: (generation, members, word_batch,
-        #: scalar_indices)
-        self._partition_cache: Optional[Any] = None
         if size:
             self.spawn_many(size)
 
@@ -158,7 +154,7 @@ class MachineFleet:
         machine = self.build_machine(**overrides)
         self._machines.append(machine)
         if self._engine is not None:
-            self._engine.try_promote(machine)
+            self._engine.try_promote(machine, len(self._machines) - 1)
         return machine
 
     def spawn_many(self, count: int) -> List[ReactiveMachine]:
@@ -168,9 +164,10 @@ class MachineFleet:
         (one plane OR per init register for the whole cohort) instead of
         ``count`` per-member state walks."""
         machines = [self.build_machine() for _ in range(count)]
+        start = len(self._machines)
         self._machines.extend(machines)
         if self._engine is not None:
-            self._engine.promote_fresh(machines)
+            self._engine.promote_fresh(machines, start)
         return machines
 
     def __len__(self) -> int:
@@ -198,104 +195,81 @@ class MachineFleet:
         member can never leave the fleet half-advanced within a logical
         instant."""
         shared = inputs or {}
-        return self._drive_batch(
-            range(len(self._machines)),
-            lambda index, machine: shared,
-            shared=shared,
-        )
+        return self._drive_batch(lambda index, machine: shared, shared=shared)
 
     def _drive_batch(
         self,
-        indices: Any,
         make_inputs: Callable[[int, ReactiveMachine], Dict[str, Any]],
         shared: Optional[Dict[str, Any]] = None,
-        as_dict: bool = False,
+        addressed: Optional[Mapping[int, Any]] = None,
     ) -> Any:
-        """Run one reaction on each addressed member, completing the
-        whole batch before reporting failures (shared by ``react_all`` /
-        ``broadcast`` / ``react_each``).
+        """Run one reaction on each addressed member (``addressed`` is
+        ``react_each``'s mapping, whose results come back as a dict; None
+        is a full broadcast, whose results are a list in member order),
+        completing the whole batch before reporting failures.
 
-        Word-resident members are partitioned into one lockstep word
-        instant (``shared`` marks the broadcast case where every member
-        got the same map, enabling the engine's shared-result path);
-        everyone else reacts scalar, and a clean scalar reaction
-        re-promotes the member into the word for the next batch.
+        Word-resident members react in one lockstep word instant
+        (``shared`` marks the broadcast case where every member got the
+        same map, enabling the engine's shared-result path); everyone
+        else reacts scalar, and a clean scalar reaction promotes the
+        member into the word.  A full broadcast first re-admits the
+        members demoted since the last one, so its scalar members are
+        only those the word cannot hold, and its cost is O(members that
+        changed) beyond the word instant itself.
         """
-        indices = list(indices)
-        results: Any = {} if as_dict else [None] * len(self._machines)
-        completed: List[int] = []
-        failures: Dict[int, Exception] = {}
+        machines = self._machines
         engine = self._engine
-        scalar_indices: List[int] = []
-        if engine is not None and engine.resident_count:
-            members = len(self._machines)
-            full = shared is not None and len(indices) == members
-            word_batch: Optional[List[Any]] = None
-            if full and self._partition_cache is not None:
-                generation, cached_members, batch, scalars = (
-                    self._partition_cache
-                )
-                if generation == engine.generation and cached_members == members:
-                    word_batch, scalar_indices = batch, scalars
-            if word_batch is None:
-                word_batch = []
-                for index in indices:
-                    machine = self._machines[index]
-                    bit = machine._lockstep_bit
-                    if bit < 0:
-                        scalar_indices.append(index)
-                    elif shared is not None:
-                        # the engine reads inputs from `shared` in this
-                        # mode; None keeps the cached tuples call-agnostic
-                        word_batch.append((index, bit, None))
-                    else:
-                        try:
-                            word_batch.append(
-                                (index, bit, make_inputs(index, machine))
-                            )
-                        except Exception as err:
-                            failures[index] = err
-                if full:
-                    self._partition_cache = (
-                        engine.generation,
-                        members,
-                        word_batch,
-                        scalar_indices,
-                    )
-            if word_batch:
-                default, specials, word_failures = engine.react(
-                    word_batch, shared=shared
-                )
-                if (
-                    full
-                    and not scalar_indices
-                    and not specials
-                    and not word_failures
-                    and not failures
-                ):
-                    # whole fleet shared one quiescent result
-                    return [default] * members
-                failures.update(word_failures)
-                for index, _, _ in word_batch:
-                    if index not in word_failures:
-                        results[index] = specials.get(index, default)
-                        completed.append(index)
+        everyone = range(len(machines)) if addressed is None else addressed
+        failures: Dict[int, Exception] = {}
+        specials: Dict[int, ReactionResult] = {}
+        default: Optional[ReactionResult] = None
+        run = 0
+        if engine is None:
+            scalar: Any = everyone
+        elif addressed is None:
+            run = engine.rejoin(machines)
+            scalar = bits_of(((1 << len(machines)) - 1) & ~run)
         else:
-            scalar_indices = indices
-        for index in scalar_indices:
-            machine = self._machines[index]
+            scalar = []
+            for index in everyone:
+                if machines[index]._lockstep is engine:
+                    run |= 1 << index
+                else:
+                    scalar.append(index)
+        if run:
+            inputs: Optional[Dict[int, Dict[str, Any]]] = None
+            if shared is None:
+                inputs = {}
+                for index in bits_of(run):
+                    try:
+                        inputs[index] = make_inputs(index, machines[index])
+                    except Exception as err:
+                        failures[index] = err
+                        run &= ~(1 << index)
+            default, specials, word_failures = engine.react(run, shared, inputs)
+            failures.update(word_failures)
+        if addressed is None:
+            results: Any = [default] * len(machines)
+            for index, result in specials.items():
+                results[index] = result
+        else:
+            results = specials  # per-member inputs: every result is special
+        for index in scalar:
+            machine = machines[index]
             try:
                 results[index] = machine.react(make_inputs(index, machine))
-                completed.append(index)
             except Exception as err:
                 failures[index] = err
             else:
                 if engine is not None:
-                    engine.try_promote(machine)
-        completed.sort()
+                    engine.try_promote(machine, index)
         if failures:
+            if addressed is None:
+                for index in failures:
+                    results[index] = None
+            completed = sorted(i for i in everyone if i not in failures)
             raise FleetReactionError(
-                f"{len(failures)} of {len(indices)} addressed members "
+                f"{len(failures)} of {len(everyone)} addressed members "
                 f"failed the instant (members {sorted(failures)}); "
                 f"{len(completed)} completed",
                 completed=completed,
@@ -331,9 +305,8 @@ class MachineFleet:
                     f"{index}"
                 )
         return self._drive_batch(
-            inputs_by_member,
             lambda index, machine: inputs_by_member[index],
-            as_dict=True,
+            addressed=inputs_by_member,
         )
 
     def broadcast(
@@ -344,7 +317,7 @@ class MachineFleet:
         member before raising a collected
         :class:`~repro.errors.FleetReactionError` (an exception from
         ``make_inputs`` itself counts as that member's failure)."""
-        return self._drive_batch(range(len(self._machines)), make_inputs)
+        return self._drive_batch(make_inputs)
 
     # -- introspection --------------------------------------------------
 
@@ -476,6 +449,10 @@ class FleetIngress:
         #: member found empty is dropped by the pump round that meets it
         self._ready: List[int] = []
         self.mailboxes: List[Mailbox] = []
+        #: per member, the offers :meth:`offer` passed to its mailbox; the
+        #: rest of the mailbox's record came straight to it
+        #: (``machine.offer()``), past this ingress
+        self._routed: List[int] = []
         for machine in fleet:
             self._attach(machine)
         self.bucket: Optional[TokenBucket] = (
@@ -512,13 +489,17 @@ class FleetIngress:
 
     def is_healthy(self, index: int) -> bool:
         """A member is routable unless it was retired, its supervisor
-        quarantined it, or one of its circuit breakers is open."""
+        quarantined it, or one of its circuit breakers is open.  Reads
+        each breaker's ``snapshot()`` (which moves a cooled-down breaker
+        to half-open), not the member's whole ``health`` dict."""
         if index in self.retired:
             return False
         if self.supervisor is not None and self.supervisor.members[index].quarantined:
             return False
-        breakers = self.fleet[index].health["breakers"]
-        return all(b.get("state") != "open" for b in breakers.values())
+        for breaker in self.fleet[index]._breakers.values():
+            if breaker.snapshot().get("state") == "open":
+                return False
+        return True
 
     def healthy_members(self) -> List[int]:
         return [i for i in range(len(self.fleet)) if self.is_healthy(i)]
@@ -556,6 +537,7 @@ class FleetIngress:
         mailbox.on_mail = partial(self._list, len(self.mailboxes))
         machine.attach_mailbox(mailbox)
         self.mailboxes.append(mailbox)
+        self._routed.append(0)
 
     def _list(self, index: int) -> None:
         ready = self._ready
@@ -597,6 +579,7 @@ class FleetIngress:
         if self.bucket is not None and not self.bucket.try_acquire(now_ms):
             self.stats_counters["rate_limited"] += 1
             return RATE_LIMITED
+        self._routed[index] += 1
         return self.mailboxes[index].offer(inputs)
 
     def offer_all(
@@ -721,16 +704,25 @@ class FleetIngress:
 
     def check_accounting(self) -> None:
         """Assert the zero-silent-drop invariant across every member
-        mailbox plus the ingress-level rate-limit record."""
-        for mailbox in self.mailboxes:
+        mailbox plus the ingress-level rate-limit record: each offer to
+        the ingress was rate-limited or routed, and each mailbox's record
+        holds every offer routed to it.  Offers sent straight to a member
+        (``machine.offer()``) are on its mailbox's record only, beyond
+        what was routed."""
+        routed = self._routed
+        for index, mailbox in enumerate(self.mailboxes):
             mailbox.check_accounting()
+            if mailbox.stats["offered"] < routed[index]:
+                raise MachineError(
+                    f"fleet ingress accounting violated: member {index}'s "
+                    f"mailbox recorded {mailbox.stats['offered']} offers, "
+                    f"fewer than the {routed[index]} routed to it"
+                )
         c = self.stats_counters
-        reaching = sum(m.stats["offered"] for m in self.mailboxes)
-        if c["offered"] != reaching + c["rate_limited"]:
+        if c["offered"] != sum(routed) + c["rate_limited"]:
             raise MachineError(
                 f"fleet ingress accounting violated: offered {c['offered']} "
-                f"!= mailbox-offered {reaching} + rate-limited "
-                f"{c['rate_limited']}"
+                f"!= routed {sum(routed)} + rate-limited {c['rate_limited']}"
             )
 
     def stats(self) -> Dict[str, Any]:

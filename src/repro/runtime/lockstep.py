@@ -4,8 +4,8 @@
 (the compile half is :mod:`repro.compiler.wordplan`).  It owns the packed
 *bitplanes* of every **word-resident** fleet member:
 
-* ``R[k]`` — register slot ``k`` across members (bit ``b`` = member in
-  bit-slot ``b``);
+* ``R[k]`` — register slot ``k`` across members (bit ``b`` = the member
+  at fleet index ``b``);
 * ``NOW[s]`` / ``PRE[s]`` — signal slot ``s``'s current/previous-instant
   presence across members.
 
@@ -27,15 +27,25 @@ Invariants the engine maintains (and the parity suite checks):
   scalar backends would — mid-instant payload reads (``sig.pre``,
   ``sig.nowval``) and between-instant host reads see identical values.
   Planes are a packed mirror used only by the word function.
+* **A member's bit is its fleet index.**  No slot allocator and no
+  cached batch partition: a full broadcast's scalar members are the set
+  bits of ``all & ~resident``, results and failures come back keyed by
+  index, and every per-member loop of an instant walks set bits, never
+  the whole fleet.
 * **Divergence demotes.**  Anything the word cannot express — exec-block
   activity, deferred sub-instants, payload failures, or any external
   access to the machine (direct ``react``/``snapshot``/``restore``/
   ``reset``/``replay``, journal or mailbox attachment) — exports the
   member's bits back into its scalar scheduler (the exact
   ``restore()`` pattern) and clears its bit in *every* plane, so a later
-  promotion only ORs true bits into zeroed columns.  Demoted members
-  rejoin the word automatically after their next clean scalar reaction
-  in a fleet batch.
+  promotion only ORs true bits into zeroed columns.
+* **Demoted members rejoin before the next full broadcast.**  A demotion
+  records the member's bit; the next full broadcast (:meth:`rejoin`)
+  re-promotes the eligible ones *before* its word instant, so the word
+  serves them and a broadcast after k taps costs O(k) promotions, not k
+  scalar reactions.  A member still ineligible then (a reaction budget,
+  a running exec) reacts scalar and rejoins after a later clean scalar
+  reaction in a fleet batch.
 * **Failure is per-member.**  A payload exception aborts only that
   member's bit: its registers stay unlatched, its statuses absent, its
   ``reaction_count`` unincremented and the exception is reported through
@@ -68,7 +78,7 @@ _BYTE_BITS = tuple(
 )
 
 
-def _bits_of(mask: int) -> List[int]:
+def bits_of(mask: int) -> List[int]:
     """The set bit positions of ``mask``, ascending (byte-table walk:
     linear in the column width, not quadratic like repeated shifting)."""
     out: List[int] = []
@@ -154,19 +164,16 @@ class LockstepFleet:
         self.NOW: List[int] = [0] * len(circuit.signals)
         self.PRE: List[int] = [0] * len(circuit.signals)
 
-        # -- membership --------------------------------------------------
+        # -- membership (a member's bit is its fleet index) ---------------
         self._member_of: Dict[int, ReactiveMachine] = {}
         self._actives: Dict[int, Set[int]] = {}
         self._resident = 0
         self._term = 0
-        self._free: List[int] = []
-        self._width = 0
         #: bits whose active-slot set is non-empty (lets the word instant
         #: skip begin_instant and the slow epilogue for inert members)
         self._active_bits = 0
-        #: bumped on every membership change; the fleet keys its cached
-        #: full-broadcast batch partition on this
-        self.generation = 0
+        #: bits demoted since the last full broadcast (:meth:`rejoin`)
+        self._demoted = 0
 
         # -- per-react scratch (rebound each instant) --------------------
         self._run = 0
@@ -208,24 +215,27 @@ class LockstepFleet:
             and not any(s.running or s.pending for s in machine._execs)
         )
 
-    def try_promote(self, machine: ReactiveMachine) -> bool:
+    def try_promote(self, machine: ReactiveMachine, bit: int) -> bool:
         if machine._lockstep is not None or not self.eligible(machine):
             return False
-        self.promote(machine)
+        self.promote(machine, bit)
         return True
 
-    def _alloc_bit(self) -> int:
-        if self._free:
-            return self._free.pop()
-        bit = self._width
-        self._width += 1
-        return bit
+    def rejoin(self, machines: List[ReactiveMachine]) -> int:
+        """Before a full broadcast's word instant: re-promote the eligible
+        members demoted since the last one (``machines`` is the fleet's
+        roster, indexed by bit), so the word serves them instead of a
+        scalar reaction each.  Returns the resident mask."""
+        demoted, self._demoted = self._demoted, 0
+        for bit in bits_of(demoted):
+            self.try_promote(machines[bit], bit)
+        return self._resident
 
-    def promote(self, machine: ReactiveMachine) -> int:
-        """Import ``machine``'s between-instant state into the planes.
-        The machine keeps its scalar scheduler (stale while resident);
-        :meth:`demote` re-exports before any scalar code touches it."""
-        bit = self._alloc_bit()
+    def promote(self, machine: ReactiveMachine, bit: int) -> None:
+        """Import ``machine``'s between-instant state into the planes at
+        ``bit``, its fleet index.  The machine keeps its scalar scheduler
+        (stale while resident); :meth:`demote` re-exports before any
+        scalar code touches it."""
         mask = 1 << bit
         self._member_of[bit] = machine
         self._resident |= mask
@@ -235,54 +245,56 @@ class LockstepFleet:
         for slot, value in enumerate(machine._scheduler.state):
             if value:
                 R[slot] |= mask
-        machine._rebuild_tracking()
+        # One walk over the signals builds the active set (the slots
+        # that are not inert, as _rebuild_tracking defines it) and the
+        # presence planes; the machine's own tracking sets stay stale
+        # while it is resident and demote() rebuilds them.
         NOW, PRE = self.NOW, self.PRE
-        for slot in machine._present_slots:
-            NOW[slot] |= mask
-        signals = machine._signals
-        active = set(machine._active_slots)
-        for slot in active:  # a signal with `pre` set is never inert
-            if signals[slot].pre:
-                PRE[slot] |= mask
+        active = set()
+        for sig in machine._signals:
+            if sig.now:
+                NOW[sig.slot] |= mask
+            elif not (sig.pre or sig.emitted or sig.nowval is not sig.preval):
+                continue
+            if sig.pre:
+                PRE[sig.slot] |= mask
+            active.add(sig.slot)
+        machine._touched_slots.clear()
         self._actives[bit] = active
         if active:
             self._active_bits |= mask
         if machine.terminated:
             self._term |= mask
         self.promotions += 1
-        self.generation += 1
-        return bit
 
-    def promote_fresh(self, machines: List[ReactiveMachine]) -> int:
-        """Bulk-promote freshly spawned members: they all carry the boot
-        pattern (init registers, inert signals), so the planes take one
-        OR of a contiguous mask per init register instead of a per-member
-        state walk.  Returns how many were promoted (0 when the fleet's
-        machine defaults make members ineligible, e.g. a reaction
-        budget)."""
+    def promote_fresh(self, machines: List[ReactiveMachine], start: int) -> int:
+        """Bulk-promote freshly spawned members at fleet indices
+        ``start, start + 1, ...``: they all carry the boot pattern (init
+        registers, inert signals), so the planes take one OR of a
+        contiguous mask per init register instead of a per-member state
+        walk.  Returns how many were promoted (0 when the fleet's machine
+        defaults make members ineligible, e.g. a reaction budget)."""
         if not machines or not self.eligible(machines[0]):
             return 0
-        mask_new = 0
-        for machine in machines:
-            bit = self._alloc_bit()
-            mask_new |= 1 << bit
+        for bit, machine in enumerate(machines, start):
             self._member_of[bit] = machine
             machine._lockstep = self
             machine._lockstep_bit = bit
             self._actives[bit] = set()
+        mask_new = ((1 << len(machines)) - 1) << start
         self._resident |= mask_new
         R = self.R
         for slot in self._init_reg_slots:
             R[slot] |= mask_new
         self.promotions += len(machines)
-        self.generation += 1
         return len(machines)
 
     def demote(self, machine: ReactiveMachine, cause: str) -> None:
         """Export ``machine``'s bits back into its scalar scheduler and
         signal-tracking sets (the ``restore()`` pattern: ``clear_state``
         flags sparse dispatch for a rebuilding full sweep), then zero
-        its bit in every plane so the slot can be reused cleanly."""
+        its bit in every plane so a later promotion starts from zeroed
+        columns; the next full broadcast re-admits it (:meth:`rejoin`)."""
         bit = machine._lockstep_bit
         mask = 1 << bit
         inv = ~mask
@@ -303,8 +315,7 @@ class LockstepFleet:
         self._resident &= inv
         self._term &= inv
         self._active_bits &= inv
-        self.generation += 1
-        self._free.append(bit)
+        self._demoted |= mask
         machine._lockstep = None
         machine._lockstep_bit = -1
         self.demotions[cause] = self.demotions.get(cause, 0) + 1
@@ -327,7 +338,7 @@ class LockstepFleet:
         values = self._values
         view = self._view
         out = 0
-        for bit in _bits_of(enable_col):
+        for bit in bits_of(enable_col):
             machine = members[bit]
             values.bit = bit
             saved = machine._scheduler
@@ -349,32 +360,25 @@ class LockstepFleet:
 
     def react(
         self,
-        batch: List[Tuple[int, int, Dict[str, Any]]],
+        run: int,
         shared: Optional[Dict[str, Any]] = None,
+        inputs: Optional[Dict[int, Dict[str, Any]]] = None,
     ) -> Tuple[
         Optional[ReactionResult],
         Dict[int, ReactionResult],
         Dict[int, Exception],
     ]:
-        """One instant for the addressed resident members.
+        """One instant for the resident members whose bits (fleet indices)
+        are set in ``run``.  When ``shared`` is not None every member got
+        that same input map (the broadcast fast path, enabling the shared
+        quiescent result); otherwise ``inputs`` maps each bit to its own.
 
-        ``batch`` is ``[(fleet index, bit, inputs), ...]``; when
-        ``shared`` is not None every member got that same input map (the
-        broadcast fast path, enabling the shared quiescent result).
-
-        Returns ``(default_result, specials, failures)``: members whose
-        fleet index is in neither dict produced ``default_result``.
+        Returns ``(default_result, specials, failures)``, keyed by fleet
+        index: members in neither dict produced ``default_result``.
         """
         members = self._member_of
         actives = self._actives
         interface = self._interface
-        if len(batch) == len(members):
-            # a full broadcast addresses every resident member
-            run = self._resident
-        else:
-            run = 0
-            for _, bit, _ in batch:
-                run |= 1 << bit
         began = run
         failures: Dict[int, Exception] = {}
         specials: Dict[int, ReactionResult] = {}
@@ -383,7 +387,7 @@ class LockstepFleet:
         # no-op on inert signals, and every non-inert slot is active by
         # the promote/refresh invariants — members with empty active
         # sets are skipped wholesale via the _active_bits mask).
-        for bit in _bits_of(began & self._active_bits):
+        for bit in bits_of(began & self._active_bits):
             signals = members[bit]._signals
             for slot in actives[bit]:
                 signals[slot].begin_instant()
@@ -403,6 +407,7 @@ class LockstepFleet:
         IM: Dict[int, int] = {}
         written_shared: List[Tuple[int, Any]] = []
         if shared is not None:
+            run_bits = bits_of(run) if shared else ()
             for name, value in shared.items():
                 info = interface.get(name)
                 if info is None or info.input_net is None:
@@ -410,8 +415,8 @@ class LockstepFleet:
                         f"unknown input signal {name!r}; machine inputs: "
                         f"{self._valid_inputs}"
                     )
-                    for index, bit, _ in batch:
-                        failures[index] = err
+                    for bit in run_bits:
+                        failures[bit] = err
                         machine = members[bit]
                         machine._failed_reactions += 1
                         machine._deferred.clear()
@@ -420,7 +425,7 @@ class LockstepFleet:
                 slot = info.slot
                 written_shared.append((slot, value))
                 IM[info.input_net.id] = run
-                for _, bit, _ in batch:
+                for bit in run_bits:
                     sig = members[bit]._signals[slot]
                     # begin_instant reset emitted, so this is the first
                     # write of the instant: plain assignment, no combine
@@ -432,13 +437,13 @@ class LockstepFleet:
                     actives[bit].add(slot)
                 self._active_bits |= began
         else:
-            for index, bit, inputs in batch:
+            for bit, member_inputs in inputs.items():
                 machine = members[bit]
                 signals = machine._signals
-                for name, value in inputs.items():
+                for name, value in member_inputs.items():
                     info = interface.get(name)
                     if info is None or info.input_net is None:
-                        failures[index] = MachineError(
+                        failures[bit] = MachineError(
                             f"unknown input signal {name!r}; machine "
                             f"inputs: {self._valid_inputs}"
                         )
@@ -476,13 +481,13 @@ class LockstepFleet:
             if col:
                 NOW[slot] |= col
                 self._active_bits |= col
-                for bit in _bits_of(col):
+                for bit in bits_of(col):
                     members[bit]._signals[slot].now = True
                     actives[bit].add(slot)
         k0_col = W[self._k0] & ok
         k1_col = W[self._k1] & ok
         if k0_col:
-            for bit in _bits_of(k0_col):
+            for bit in bits_of(k0_col):
                 members[bit].terminated = True
             self._term |= k0_col
         for name, slot, status_id in self._out_slots:
@@ -490,16 +495,14 @@ class LockstepFleet:
 
         # Aborted members: scalar failed-react semantics (registers were
         # masked out of the latch by the word function; statuses absent;
-        # count the failure) and a demotion, so their next instant runs
-        # scalar with freshly rebuilt tracking state.
-        if aborted:
-            for index, bit, _ in batch:
-                if (aborted >> bit) & 1:
-                    machine = members[bit]
-                    failures[index] = self._fire_errors[bit]
-                    machine._failed_reactions += 1
-                    machine._deferred.clear()
-                    self.demote(machine, "error")
+        # count the failure) and a demotion, so they rejoin with freshly
+        # rebuilt tracking state.
+        for bit in bits_of(aborted):
+            machine = members[bit]
+            failures[bit] = self._fire_errors[bit]
+            machine._failed_reactions += 1
+            machine._deferred.clear()
+            self.demote(machine, "error")
 
         special_mask = out_present | k0_col | (self._term & ok)
         if shared is None:
@@ -539,15 +542,13 @@ class LockstepFleet:
         # per-member reaction counter remains.
         fast = shared_bits & ~self._active_bits & ~self._fired_bits
         if fast:
-            for bit in _bits_of(fast):
+            for bit in bits_of(fast):
                 members[bit].reaction_count += 1
         slow = ok & ~fast
         iface_slots = self._iface_slots
         out_names = {slot: name for name, slot, _ in self._out_slots}
         has_execs = self._has_execs
-        for index, bit, _ in batch if slow else ():
-            if not (slow >> bit) & 1:
-                continue
+        for bit in bits_of(slow):
             machine = members[bit]
             machine.reaction_count += 1
             signals = machine._signals
@@ -583,7 +584,7 @@ class LockstepFleet:
                     statuses[name] = sig.now
                     if sig.now and slot in out_names:
                         emitted[name] = sig.nowval
-                specials[index] = ReactionResult(
+                specials[bit] = ReactionResult(
                     emitted,
                     statuses,
                     machine.terminated,
@@ -608,8 +609,8 @@ class LockstepFleet:
                     except Exception as err:
                         machine._failed_reactions += 1
                         deferred.clear()
-                        failures[index] = err
-                        specials.pop(index, None)
+                        failures[bit] = err
+                        specials.pop(bit, None)
 
         return default_result, specials, failures
 

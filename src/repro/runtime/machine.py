@@ -988,10 +988,10 @@ class ReactiveMachine:
     def _rebuild_tracking(self) -> None:
         """Rebuild the incremental signal-tracking sets from the signal
         states, after something other than a reaction rewrote them
-        (:meth:`restore`, lockstep promotion and demotion): a slot is
-        present iff its signal is, and active iff its signal is not inert,
-        i.e. needs ``begin_instant`` at the next instant.  The per-instant
-        paths keep the sets current incrementally instead."""
+        (:meth:`restore`, and lockstep demotion after word instants): a
+        slot is present iff its signal is, and active iff its signal is
+        not inert, i.e. needs ``begin_instant`` at the next instant.  The
+        per-instant paths keep the sets current incrementally instead."""
         present: set = set()
         active: set = set()
         for signal in self._signals:
