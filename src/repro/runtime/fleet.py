@@ -485,6 +485,13 @@ class FleetIngress:
     def __len__(self) -> int:
         return len(self.mailboxes)
 
+    @property
+    def pending(self) -> int:
+        """Input maps waiting across the mailboxes, summed over the
+        ready list only: every member with mail is listed."""
+        mailboxes = self.mailboxes
+        return sum(mailboxes[index].pending for index in self._ready)
+
     # -- health-aware membership ----------------------------------------
 
     def is_healthy(self, index: int) -> bool:
@@ -729,17 +736,15 @@ class FleetIngress:
         totals: Dict[str, int] = {
             "admitted": 0, "coalesced": 0, "rejected": 0, "dropped": 0,
         }
-        pending = 0
         for mailbox in self.mailboxes:
             for key in totals:
                 totals[key] += mailbox.stats[key]
-            pending += mailbox.pending
         shed = totals["rejected"] + totals["dropped"]
         return {
             **self.stats_counters,
             **totals,
             "shed": shed,
-            "pending": pending,
+            "pending": self.pending,
             "batch_size": self.batch_size,
             "latency_ewma_ms": self.latency.value,
             "healthy": len(self.healthy_members()),

@@ -251,7 +251,9 @@ class ReactiveMachine:
         self._reacting = False
         self._deferred: List[Dict[str, Any]] = []
         self.terminated = False
-        self.reaction_count = 0
+        #: the instant count behind :attr:`reaction_count`, minus the
+        #: lockstep engine's epoch while the machine is word-resident
+        self._reactions = 0
         #: attached write-ahead journal (see :meth:`attach_journal`)
         self._journal: Optional[Any] = None
         #: True while :meth:`replay` re-derives state from the journal:
@@ -280,7 +282,9 @@ class ReactiveMachine:
         #: the lockstep fleet engine this machine is word-resident in,
         #: and its bit slot there (see :mod:`repro.runtime.lockstep`);
         #: while resident, the scalar scheduler's register state is stale
-        #: and any scalar access must demote first (:meth:`_ensure_scalar`)
+        #: and any scalar access must demote first (:meth:`_ensure_scalar`),
+        #: and the engine's epoch holds the part of the instant count
+        #: that ``_reactions`` lacks (read :attr:`reaction_count`)
         self._lockstep: Optional[Any] = None
         self._lockstep_bit = -1
 
@@ -355,6 +359,16 @@ class ReactiveMachine:
         """Attach a host event loop providing ``call_soon(fn)``; queued
         reactions (from ``this.react`` / ``notify``) are scheduled on it."""
         self._loop = loop
+
+    @property
+    def reaction_count(self) -> int:
+        """How many instants this machine has completed.  Reading it
+        never demotes a word-resident member: the lockstep engine counts
+        its broadcasts in one epoch, added here."""
+        lockstep = self._lockstep
+        if lockstep is None:
+            return self._reactions
+        return self._reactions + lockstep.epoch
 
     def _ensure_scalar(self) -> None:
         """Leave the lockstep word before any scalar access: while a
@@ -496,7 +510,7 @@ class ReactiveMachine:
         # recovery to redo that instant *live* (effects never happened)
         # rather than replay it silently.
         journal = self._journal if not self._replaying else None
-        seq = self.reaction_count
+        seq = self._reactions  # scalar here: callers demote first
         if journal is not None:
             journal.append(
                 JournalEntry(
@@ -569,7 +583,7 @@ class ReactiveMachine:
             if info.direction in ("out", "inout") and signal.now:
                 emitted[name] = signal.nowval
 
-        self.reaction_count += 1
+        self._reactions += 1
         if values[circuit.k0_net.id]:
             self.terminated = True
         result = ReactionResult(
@@ -681,7 +695,7 @@ class ReactiveMachine:
             if name is not None:
                 emitted[name] = signals[slot].nowval
 
-        self.reaction_count += 1
+        self._reactions += 1
         if values[circuit.k0_net.id]:
             self.terminated = True
         snapshot = frozenset(present)
@@ -728,7 +742,7 @@ class ReactiveMachine:
             if info.direction in ("out", "inout") and signal.now:
                 emitted[name] = signal.nowval
 
-        self.reaction_count += 1
+        self._reactions += 1
         if values[circuit.k0_net.id]:
             self.terminated = True
         result = ReactionResult(
@@ -798,7 +812,7 @@ class ReactiveMachine:
                 reset()
         self.frame = {}
         self.terminated = False
-        self.reaction_count = 0
+        self._reactions = 0
         self._boot_values()
 
     # ------------------------------------------------------------------
@@ -981,7 +995,7 @@ class ReactiveMachine:
 
         self.frame = dict(snap["frame"])
         self.terminated = bool(snap["terminated"])
-        self.reaction_count = int(snap["reaction_count"])
+        self._reactions = int(snap["reaction_count"])
         self._deferred.clear()
         self._rebuild_tracking()
 

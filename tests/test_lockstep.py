@@ -44,6 +44,17 @@ def assert_fleet_parity(word, scalar, context=""):
         ), f"{context}: member {i} diverged"
 
 
+def assert_counts_match(word, scalar, context=""):
+    """Every member's ``reaction_count`` equals its scalar twin's, and
+    reading the counts demotes no word-resident member."""
+    engine = word._engine
+    resident, demotions = engine._resident, dict(engine.demotions)
+    assert [m.reaction_count for m in word] == [
+        m.reaction_count for m in scalar
+    ], context
+    assert engine._resident == resident and engine.demotions == demotions, context
+
+
 def assert_bits_are_indices(fleet):
     """Every resident member sits at the bit of its fleet index, and the
     resident mask holds exactly those bits."""
@@ -247,6 +258,7 @@ class TestDemotion:
             assert_result_parity(a[i], b[i], f"member {i}")
         assert word._engine.demotions["exec"] == 5
         assert word._engine.resident_count == 0
+        assert_counts_match(word, ref, "exec demotion keeps the tick")
         for h in handles:
             h.notify(42)
         a = word.react_all({})
@@ -256,6 +268,7 @@ class TestDemotion:
         # exec completed and drained: members rejoined the word (before
         # the digest probes below demote them again via external access)
         assert word._engine.resident_count == 5
+        assert_counts_match(word, ref, "rejoined")
         assert_fleet_parity(word, ref)
 
     def test_deferred_sub_instant_demotes_with_parity(self):
@@ -276,6 +289,7 @@ class TestDemotion:
         for i in range(5):
             assert_result_parity(a[i], b[i], f"member {i}")
         assert word._engine.demotions["deferred"] == 5
+        assert_counts_match(word, ref, "deferred sub-instants")
         assert_fleet_parity(word, ref)
 
     def test_payload_error_demotes_and_keeps_state(self):
@@ -308,6 +322,7 @@ class TestDemotion:
             fleet.react_all({})
             with pytest.raises(FleetReactionError) as exc:
                 fleet.react_all({"go": True})
+            failed_counts = [m.reaction_count for m in fleet]
             failing["on"] = False
             calls["n"] = 0
             recovery = fleet.react_all({"go": True})
@@ -315,6 +330,8 @@ class TestDemotion:
                 sorted(exc.value.failures),
                 tuple(exc.value.completed),
                 [dict(r) for r in recovery],
+                failed_counts,
+                [m.reaction_count for m in fleet],
                 [m.state_digest() for m in fleet],
                 [m._failed_reactions for m in fleet],
             )
@@ -402,7 +419,9 @@ class TestChurn:
                     b = ref.broadcast(lambda i, machine: steps[i])
                 for i in range(CHURN_MEMBERS):
                     assert_result_parity(a[i], b[i], f"{context} member {i}")
+            assert_counts_match(word, ref, context)
             assert_bits_are_indices(word)
+        assert word.stats()["reactions"] == ref.stats()["reactions"]
         assert_fleet_parity(word, ref, "final")
 
     def test_broadcast_after_taps_reacts_no_tapped_member_scalar(self, monkeypatch):
@@ -445,6 +464,41 @@ class TestChurn:
         assert scalar == [fleet[pinned]]
         assert all(fleet[m]._lockstep is engine for m in tapped)
         assert all(results[m]["request"] == 2 for m in tapped)
+
+    def test_quiescent_broadcast_looks_up_no_member(self):
+        """The engine holds a broadcast's count: a quiescent ``react_all``
+        on a fully resident fleet looks up no member, and a broadcast
+        after one tap looks up only the tapped member."""
+        fleet = make_audience_fleet(LOCKSTEP_MIN_MEMBERS)
+        ref = make_audience_fleet(LOCKSTEP_MIN_MEMBERS, backend="levelized")
+        engine = fleet._engine
+        looked = []
+
+        class Recording(dict):
+            def __getitem__(self, bit):
+                looked.append(bit)
+                return dict.__getitem__(self, bit)
+
+        engine._member_of = Recording(engine._member_of)
+        for f in (fleet, ref):
+            f.react_all({})
+            f.react_all({})
+        looked.clear()
+        fleet.react_all({})
+        ref.react_all({})
+        assert looked == []
+        assert_counts_match(fleet, ref, "quiescent")
+
+        tapped = 17
+        for f in (fleet, ref):
+            f.react_one(tapped, {"select": 1})
+        looked.clear()
+        fleet.react_all({})
+        ref.react_all({})
+        assert set(looked) <= {tapped}
+        assert engine.resident_count == LOCKSTEP_MIN_MEMBERS
+        assert_counts_match(fleet, ref, "after a tap")
+        assert fleet.stats()["reactions"] == ref.stats()["reactions"]
 
     def test_spawn_after_churn_keeps_parity(self):
         """Members spawned while others are demoted take the next fleet

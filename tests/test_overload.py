@@ -662,6 +662,7 @@ class TestFleetIngress:
                 ingress.pump_all()
                 assert _full_scan(ingress)[0] == []
             ingress.check_accounting()
+            assert ingress.pending == sum(m.pending for m in ingress.mailboxes)
             with_mail = [i for i, m in enumerate(ingress.mailboxes) if m.pending]
             assert set(with_mail) <= set(ingress._ready)
             assert ingress._ready == sorted(set(ingress._ready))
