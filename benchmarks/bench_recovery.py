@@ -1,34 +1,47 @@
-"""R2 — durable recovery on the largest Skini score (snapshot + restore
-+ journal replay).
+"""R2 — durable recovery on the mid-size Skini score (snapshot + restore
++ journal replay), and the cost of a checkpoint on the paper-scale one.
 
 A reactive machine's between-instant state is tiny (registers + signal
 ``pre`` values + exec bookkeeping), so checkpoints are cheap; recovery
 cost is dominated by replaying the journal tail, at roughly one
 steady-state reaction per journaled instant.  Bounded-tail checkpointing
 (``checkpoint_every``) is therefore what makes recovery constant-time.
-Three measurements land in BENCH_recovery.json:
+Four measurements land in BENCH_recovery.json:
 
 * ``snapshot``: snapshot / JSON round-trip / restore cost and payload
-  size for the large-score machine;
+  size for the 724-net score machine;
 * ``replay``: deterministic replay of 100 journaled instants onto a
   fresh machine — byte-identical final snapshot, cost recorded per
   instant;
 * ``recovery`` (gated): crash at the worst point of a supervised run —
   just before the next checkpoint, so the journal tail is as long as it
   ever gets — and recover onto a fresh machine.  The gate is
-  ``restore + tail replay < 50× one steady-state reaction``.
+  ``restore + tail replay < 50× one steady-state reaction``;
+* ``checkpoint`` (gated): on the 10,247-net score, interleaved rounds of
+  one steady supervised reaction and one ``checkpoint()``.  A sparse
+  checkpoint rebuilds only the signal rows that changed and keeps its
+  rollback point unsealed, so the gate is ``checkpoint median ≤ 3× the
+  reaction median``; young collections per 100 checkpoints are recorded
+  beside it as a work count.
 """
 
+import gc
 import json
 import time
 
 import harness
 from repro import MachineSupervisor, MemoryJournal, ReactiveMachine
+from repro.apps.skini import make_large_score
+from repro.apps.skini.score import generate_score_module
 from workloads import and_bool, mid_score, steady_ms, tick
 
 INSTANTS = 100
 CHECKPOINT_EVERY = 10
 RECOVERY_GATE = 50.0
+#: the paper-scale score: sections, groups per section, patterns per group
+PAPER_SCORE = (115, 5, 6)
+CHECKPOINT_ROUNDS = 300
+CHECKPOINT_GATE = 3.0
 
 
 def _score_builder():
@@ -43,12 +56,8 @@ def _settle(machine, instants=10):
         machine.react(tick(machine.reaction_count))
 
 
-def _state_digest(machine):
-    return json.dumps(machine.snapshot(), sort_keys=True)
-
-
 def test_snapshot_restore_round_trip_cost():
-    """Checkpointing the largest score machine: snapshot, serialize to
+    """Checkpointing the mid-size score machine: snapshot, serialize to
     JSON, restore onto a fresh machine — state byte-identical."""
     build = _score_builder()
     machine = build()
@@ -64,12 +73,12 @@ def test_snapshot_restore_round_trip_cost():
     start = time.perf_counter()
     fresh.restore(json.loads(payload))
     restore_ms = (time.perf_counter() - start) * 1000.0
-    assert _state_digest(fresh) == _state_digest(machine)
+    assert fresh.state_digest() == machine.state_digest()
 
     harness.write(
         "recovery", "snapshot",
         {
-            "workload": "skini-large-score",
+            "workload": "skini-mid-score",
             "nets": machine.stats()["nets"],
             "payload_bytes": len(payload),
             "snapshot_ms": round(snapshot_ms, 4),
@@ -93,7 +102,7 @@ def test_replay_100_instants_byte_identical():
     for _ in range(INSTANTS):
         machine.react(tick(machine.reaction_count))
     steady = steady_ms(machine, rounds=40)
-    reference = _state_digest(machine)
+    reference = machine.state_digest()
     entries = journal.entries(base["reaction_count"])[:INSTANTS]
     assert len(entries) == INSTANTS
 
@@ -104,7 +113,7 @@ def test_replay_100_instants_byte_identical():
     replay_ms = (time.perf_counter() - start) * 1000.0
 
     fresh.replay(journal.entries(base["reaction_count"] + INSTANTS))
-    assert _state_digest(fresh) == reference
+    assert fresh.state_digest() == reference
 
     harness.write(
         "recovery", "replay",
@@ -138,20 +147,20 @@ def test_checkpointed_recovery_within_reaction_budget():
     ):
         supervisor.react(tick(supervisor.machine.reaction_count))
     tail = len(supervisor.journal.entries(supervisor.last_checkpoint["reaction_count"]))
-    reference = _state_digest(supervisor.machine)
+    reference = supervisor.machine.state_digest()
 
     samples = []
     for _ in range(15):
         fresh = build()
         samples.append(harness.time_ms(supervisor.recover, fresh))
-        assert _state_digest(fresh) == reference
+        assert fresh.state_digest() == reference
     recovery_ms = harness.median(samples)
     ratio = recovery_ms / steady
 
     harness.write(
         "recovery", "recovery",
         {
-            "workload": "skini-large-score-supervised",
+            "workload": "skini-mid-score-supervised",
             "instants": INSTANTS,
             "checkpoint_every": CHECKPOINT_EVERY,
             "journal_tail": tail,
@@ -164,4 +173,48 @@ def test_checkpointed_recovery_within_reaction_budget():
     assert ratio < RECOVERY_GATE, (
         f"recovery {recovery_ms:.3f} ms is {ratio:.1f}x one steady-state "
         f"reaction ({steady:.4f} ms); gate {RECOVERY_GATE:.0f}x"
+    )
+
+
+def test_checkpoint_costs_what_changed():
+    """The gate: a supervised checkpoint of the 10,247-net score costs
+    about one steady supervised reaction, not a whole-state snapshot.
+    Each round times one reaction, then one ``checkpoint()``; the
+    checkpoint median must be at most 3× the reaction median.  Young
+    collections over the rounds are recorded per 100 checkpoints: a
+    checkpoint that rebuilds every row allocates enough to trigger about
+    one per round."""
+    module, table = generate_score_module(make_large_score(*PAPER_SCORE))
+    machine = ReactiveMachine(module, modules=table, host_globals={"andBool": and_bool})
+    supervisor = MachineSupervisor(machine)
+    supervisor.react({})
+    for _ in range(10):
+        supervisor.react(tick(machine.reaction_count))
+
+    react_ms, checkpoint_ms = [], []
+    young = gc.get_stats()[0]["collections"]
+    for _ in range(CHECKPOINT_ROUNDS):
+        react_ms.append(harness.time_ms(supervisor.react, tick(machine.reaction_count)))
+        checkpoint_ms.append(harness.time_ms(supervisor.checkpoint))
+    young = gc.get_stats()[0]["collections"] - young
+    reaction, checkpoint = harness.median(react_ms), harness.median(checkpoint_ms)
+    ratio = checkpoint / reaction
+
+    harness.write(
+        "recovery", "checkpoint",
+        {
+            "workload": "skini-paper-score-supervised",
+            "nets": machine.stats()["nets"],
+            "signals": len(machine.snapshot()["signals"]),
+            "rounds": CHECKPOINT_ROUNDS,
+            "reaction_ms": round(reaction, 4),
+            "checkpoint_ms": round(checkpoint, 4),
+            "ratio": round(ratio, 2),
+            "young_collections_per_100": round(100.0 * young / CHECKPOINT_ROUNDS, 1),
+            "gate": CHECKPOINT_GATE,
+        },
+    )
+    assert ratio <= CHECKPOINT_GATE, (
+        f"checkpoint {checkpoint:.4f} ms is {ratio:.1f}x one steady supervised "
+        f"reaction ({reaction:.4f} ms); gate {CHECKPOINT_GATE:.0f}x"
     )

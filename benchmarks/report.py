@@ -225,6 +225,7 @@ def r1():
 def r2():
     print("\nR2 - durable recovery (snapshot/restore + journal tail replay)")
     from bench_recovery import (
+        test_checkpoint_costs_what_changed,
         test_checkpointed_recovery_within_reaction_budget,
         test_replay_100_instants_byte_identical,
         test_snapshot_restore_round_trip_cost,
@@ -233,9 +234,11 @@ def r2():
     test_snapshot_restore_round_trip_cost()
     test_replay_100_instants_byte_identical()
     test_checkpointed_recovery_within_reaction_budget()
+    test_checkpoint_costs_what_changed()
     data = harness.read("recovery")
     snap, replay, rec = data["snapshot"], data["replay"], data["recovery"]
-    print(f"  checkpoint: snapshot {snap['snapshot_ms']:.3f} ms, restore "
+    ckpt = data["checkpoint"]
+    print(f"  snapshot: {snap['snapshot_ms']:.3f} ms, restore "
           f"{snap['restore_ms']:.3f} ms, payload {snap['payload_bytes']/1024:.1f} KB "
           f"({snap['nets']} nets)")
     print(f"  replay {replay['instants']} instants: {replay['replay_ms']:.2f} ms "
@@ -244,6 +247,10 @@ def r2():
     print(f"  recovery (journal tail {rec['journal_tail']}, checkpoint_every "
           f"{rec['checkpoint_every']}): {rec['recovery_ms']:.3f} ms = "
           f"{rec['ratio']:.1f}x one steady reaction (gate {rec['gate']:.0f}x)")
+    print(f"  supervised checkpoint ({ckpt['nets']} nets, {ckpt['rounds']} rounds): "
+          f"{ckpt['checkpoint_ms']:.4f} ms = {ckpt['ratio']:.2f}x one supervised "
+          f"reaction ({ckpt['reaction_ms']:.4f} ms; gate {ckpt['gate']:.0f}x), "
+          f"{ckpt['young_collections_per_100']:.1f} young collections per 100")
 
 
 def o1():

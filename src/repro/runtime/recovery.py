@@ -27,7 +27,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import MachineError, MigrationError, ReactionBudgetExceeded
 from repro.runtime.journal import MemoryJournal
-from repro.runtime.machine import ReactionResult, ReactiveMachine
+from repro.runtime.machine import ReactionResult, ReactiveMachine, snapshot_checksum
 
 
 class MachineSupervisor:
@@ -88,15 +88,21 @@ class MachineSupervisor:
     # -- checkpointing ---------------------------------------------------
 
     def checkpoint(self) -> Dict[str, Any]:
-        """Snapshot the machine now and truncate the journal prefix the
-        snapshot covers.  Returns (and keeps) the snapshot.
+        """Capture the machine's between-instant state now and truncate
+        the journal prefix it covers.  Returns (and keeps) the capture as
+        the in-memory rollback point.
 
-        ``on_checkpoint`` runs between the snapshot and the truncation:
-        the snapshot must be durable *before* the journal entries it
-        replaces are dropped."""
-        snap = self.machine.snapshot()
+        The rollback point never leaves the process, so it is unsealed:
+        it carries no ``checksum``, and :meth:`restore
+        <repro.runtime.machine.ReactiveMachine.restore>` verifies only
+        payloads that do.  ``on_checkpoint`` receives the sealed form (a
+        :meth:`~repro.runtime.machine.ReactiveMachine.snapshot` payload),
+        and runs between the capture and the truncation: the snapshot
+        must be durable *before* the journal entries it replaces are
+        dropped."""
+        snap = self.machine._capture()
         if self.on_checkpoint is not None:
-            self.on_checkpoint(snap)
+            self.on_checkpoint({**snap, "checksum": snapshot_checksum(snap)})
         self.journal.truncate(snap["reaction_count"])
         self._checkpoint = snap
         self.stats["checkpoints"] += 1
@@ -104,6 +110,7 @@ class MachineSupervisor:
 
     @property
     def last_checkpoint(self) -> Dict[str, Any]:
+        """The rollback point: the latest checkpoint's unsealed capture."""
         return self._checkpoint
 
     # -- supervised reactions --------------------------------------------
