@@ -3,13 +3,13 @@
 
     python benchmarks/report.py [--quick]
 
-A section that a benchmark gate owns (E6, C1, F1, R2, O1, S1, G1) runs
+A section that a benchmark gate owns (E5, E6, C1, F1, R2, O1, S1, G1) runs
 that gate and prints what the gate wrote to its ``BENCH_*.json``; the
 other sections measure and print.  ``--quick`` switches every section
 to its reduced-size profile (smaller score, fleets and cohorts, fewer
 rounds) so CI can smoke the whole report, and writes the artifacts to
-``.benchmarks/quick/`` so the committed ones stay as they are.  The E6,
-C1, F1 and R2 gates have no reduced size and run in full either way.
+``.benchmarks/quick/`` so the committed ones stay as they are.  The E5,
+E6, C1, F1 and R2 gates have no reduced size and run in full either way.
 """
 
 from __future__ import annotations
@@ -85,7 +85,25 @@ def e4_e5():
     circuit = compile_module(module, mtable).circuit
     nets = circuit.stats()["nets"]
     size = circuit.memory_estimate()
-    print(f"  ours: {nets} nets, {size/1024/1024:.2f} MB, {size/nets:.0f} B/net")
+    print(f"  ours: {nets} nets, {size/1024/1024:.2f} MB of net objects, "
+          f"{size/nets:.0f} B/net")
+
+    # The compile-footprint gate owns the memory_scaling section of
+    # BENCH_compile.json: run it and print what it recorded.
+    import bench_memory
+
+    bench_memory.test_compile_memory_linear_in_score_size()
+    scaling = harness.read("compile")["memory_scaling"]
+    for row in scaling["sizes"]:
+        print(f"  compile + plan of {row['nets']} nets: peak {row['peak_mb']:.1f} MB "
+              f"({row['peak_bytes_per_net']} B/net), retained "
+              f"{row['retained_mb']:.1f} MB, {row['table_entries_per_net']:.2f} "
+              f"scope-table entries/net")
+    gates = scaling["gates"]
+    print(f"  10k vs 1.3k nets: scope-table entries/net "
+          f"{scaling['table_entries_ratio']:.2f}x (gate {gates['table_entries_ratio']}x), "
+          f"peak/net {scaling['peak_per_net_ratio']:.2f}x "
+          f"(gate {gates['peak_per_net_ratio']}x)")
 
 
 def e6():

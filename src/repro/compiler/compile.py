@@ -7,6 +7,7 @@ back half (the reactive machine wrapping the circuit simulator) lives in
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import pickle
@@ -209,6 +210,17 @@ _cache: "OrderedDict[str, CompiledModule]" = OrderedDict()
 _cache_stats: Dict[str, int] = {"hits": 0, "misses": 0, "uncacheable": 0}
 
 
+_MISSING = object()
+
+
+@functools.cache
+def _slot_names(cls: type) -> Tuple[str, ...]:
+    """A ``repro.lang`` node type's slot names, in MRO order."""
+    return tuple(
+        name for klass in cls.__mro__ for name in getattr(klass, "__slots__", ())
+    )
+
+
 def _embedded_callables(module: A.Module) -> List[int]:
     """Identities of every host callable reachable from the module AST.
 
@@ -242,13 +254,26 @@ def _embedded_callables(module: A.Module) -> List[int]:
             if hasattr(obj, "__dict__"):
                 stack.extend(reversed(list(vars(obj).values())))
             else:
-                for cls in type(obj).__mro__:
-                    for name in getattr(cls, "__slots__", ()):
-                        if hasattr(obj, name):
-                            stack.append(getattr(obj, name))
+                for name in _slot_names(type(obj)):
+                    value = getattr(obj, name, _MISSING)
+                    if value is not _MISSING:
+                        stack.append(value)
         elif callable(obj):
             out.append(id(obj))
     return out
+
+
+def _module_bytes(module: A.Module) -> bytes:
+    """What the structural key hashes for one module: its pretty-printed
+    source, then the ids of its embedded host callables."""
+    from repro.lang.pretty import pretty_module
+
+    parts = [pretty_module(module).encode()]
+    parts.extend(
+        ident.to_bytes(8, "little", signed=True)
+        for ident in _embedded_callables(module)
+    )
+    return b"".join(parts)
 
 
 def _structural_key(
@@ -261,22 +286,19 @@ def _structural_key(
     The key is the pretty-printed source of the module and of every
     module in the resolution table (``run`` targets), plus the identities
     of the embedded host callables (see :func:`_embedded_callables`) and
-    the option knobs.  Returns None when the module can not be rendered
-    (treated as uncacheable).
+    the option knobs.  A root that is also in the table is rendered
+    once.  Returns None when the module can not be rendered (treated as
+    uncacheable).
     """
-    from repro.lang.pretty import pretty_module
-
     digest = hashlib.sha256()
     try:
-        digest.update(pretty_module(module).encode())
-        for ident in _embedded_callables(module):
-            digest.update(ident.to_bytes(8, "little", signed=True))
+        root = _module_bytes(module)
+        digest.update(root)
         if modules is not None:
             for name in modules.names():
+                entry = modules.get(name)
                 digest.update(b"\x00module\x00")
-                digest.update(pretty_module(modules.get(name)).encode())
-                for ident in _embedded_callables(modules.get(name)):
-                    digest.update(ident.to_bytes(8, "little", signed=True))
+                digest.update(root if entry is module else _module_bytes(entry))
     except Exception:
         return None
     options = options or CompileOptions()

@@ -123,7 +123,7 @@ def _build_template(
     for decl in module.interface:
         info = tr.declare_signal(decl, bound_name=decl.name)
         circ.interface[decl.name] = info
-        tr.sigmap[decl.name] = info
+        tr.bind(decl.name, info)
 
     ifc = tr.translate(body, Ctx(lit(go), lit(res), lit(susp), lit(kill)))
     bad = [code for code in ifc.ks if code >= 2]
@@ -305,8 +305,15 @@ def clear_link_cache() -> None:
 # ---------------------------------------------------------------------------
 
 
-def _remap_scope(scope: Dict[str, int], sigslot: Dict[int, int]) -> Dict[str, int]:
-    return {name: sigslot[slot] for name, slot in scope.items()}
+def _remap_scope(
+    scope: Dict[str, int], sigslot: Dict[int, int], tables: Dict[int, Dict[str, int]]
+) -> Dict[str, int]:
+    # one remapped table per template table, so an instance's specs share
+    # their scope tables exactly as the template's do
+    table = tables.get(id(scope))
+    if table is None:
+        table = tables[id(scope)] = {name: sigslot[slot] for name, slot in scope.items()}
+    return table
 
 
 def remap_spec(
@@ -314,19 +321,21 @@ def remap_spec(
     sigslot: Dict[int, int],
     counters: Dict[int, int],
     execs: Dict[int, int],
+    tables: Dict[int, Dict[str, int]],
 ) -> tuple:
-    """Relocate a relink spec's slot numbers into the caller's tables."""
+    """Relocate a relink spec's slot numbers into the caller's tables.
+    ``tables`` memoizes the remapped scope tables of one instance."""
     kind = spec[0]
     if kind == "expr":
-        return ("expr", spec[1], _remap_scope(spec[2], sigslot))
+        return ("expr", spec[1], _remap_scope(spec[2], sigslot, tables))
     if kind in ("arm", "ctest"):
-        return (kind, spec[1], _remap_scope(spec[2], sigslot), counters[spec[3]])
+        return (kind, spec[1], _remap_scope(spec[2], sigslot, tables), counters[spec[3]])
     if kind in ("emitval", "siginit"):
-        return (kind, spec[1], _remap_scope(spec[2], sigslot), sigslot[spec[3]])
+        return (kind, spec[1], _remap_scope(spec[2], sigslot, tables), sigslot[spec[3]])
     if kind == "atom":
-        return ("atom", spec[1], _remap_scope(spec[2], sigslot))
+        return ("atom", spec[1], _remap_scope(spec[2], sigslot, tables))
     if kind == "exec_start":
-        return ("exec_start", execs[spec[1]], _remap_scope(spec[2], sigslot))
+        return ("exec_start", execs[spec[1]], _remap_scope(spec[2], sigslot, tables))
     if kind in ("exec_finish", "exec_kill", "exec_susp", "exec_resume"):
         return (kind, execs[spec[1]])
     raise CompileError(f"cannot relocate payload spec kind {kind!r}")
@@ -409,6 +418,7 @@ def link_instance(tr: Translator, stmt: "A.LinkedRun", ctx: Ctx) -> Ifc:
     new_net = Net.__new__
     shifted_in = [(base + s, n) for s, n in flat_pin]
     shifted_dep = [base + d for d in flat_pdeps]
+    tables: Dict[int, Dict[str, int]] = {}
     for r, kind, label, loc, init, i0, i1, j0, j1 in plan_pure:
         net = new_net(Net)
         net.id = r = base + r
@@ -444,7 +454,7 @@ def link_instance(tr: Translator, stmt: "A.LinkedRun", ctx: Ctx) -> Ifc:
             base + rd if rd >= 0 else spec_lits[-1 - rd][0] for rd in pdeps
         ]
         if spec is not None:
-            spec = remap_spec(spec, sigslot, counter_map, exec_map)
+            spec = remap_spec(spec, sigslot, counter_map, exec_map, tables)
             net.payload = build_payload(spec)
             if spec[0] == "expr":
                 net.expr_info = (spec[1], spec[2])

@@ -12,8 +12,9 @@ modular Esterel compilation).
 
 :func:`build_plan` levelizes the augmented graph (see
 :func:`repro.compiler.analysis.levelize`), lowers the acyclic components
-to a generated-and-``compile()``d Python function (one assignment per
-net, grouped by level), and keeps every cyclic component as a *block*:
+to a generated Python function (one assignment per net, grouped by
+level, ``compile()``d in pieces of at most :data:`PIECE_STATEMENTS`
+statements), and keeps every cyclic component as a *block*:
 a small set of nets the runtime relaxes to its local fixpoint in place
 of the straight-line statement.  Fully acyclic circuits — the common
 case, including the login and Skini paper apps — get pure straight-line
@@ -33,6 +34,8 @@ compiled module.
 
 from __future__ import annotations
 
+import marshal
+import types
 from array import array
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -44,6 +47,12 @@ from repro.compiler.netlist import ACTION, AND, EXPR, INPUT, OR, REG, Circuit, N
 #: relaxation blocks, the compiled plan degenerates toward a slow
 #: re-implementation of the worklist and the machine falls back to it.
 AUTO_MAX_CYCLIC_FRACTION = 0.25
+
+#: the reaction function is compiled in pieces of at most this many net
+#: statements: ``compile()`` holds a whole function's syntax tree and
+#: code at once, so one 20k-line function costs tens of MB at its peak
+#: while bounded pieces cost a bounded amount each
+PIECE_STATEMENTS = 512
 
 #: small-int net-kind codes for the sparse evaluator's dispatch
 KIND_OR, KIND_AND, KIND_EXPR, KIND_ACTION, KIND_REG, KIND_INPUT = range(6)
@@ -75,6 +84,7 @@ class EvalPlan:
         "dep_index",
         "dep_ids",
         "source",
+        "pieces",
         "fn",
         "kind_code",
         "rank",
@@ -101,7 +111,7 @@ class EvalPlan:
         dep_index: array,
         dep_ids: array,
         source: str,
-        fn: Callable[..., bool],
+        pieces: Tuple[Callable[..., bool], ...],
         kind_code: array,
         rank: array,
         rank_order: array,
@@ -124,7 +134,9 @@ class EvalPlan:
         self.dep_index = dep_index
         self.dep_ids = dep_ids
         self.source = source
-        self.fn = fn
+        #: the compiled pieces of ``source``, run in order by ``fn``
+        self.pieces = pieces
+        self.fn = _chain(pieces)
         #: per-net small-int kind (KIND_OR..KIND_INPUT), for sparse dispatch
         self.kind_code = kind_code
         #: per-net position in the straight-line evaluation order
@@ -147,28 +159,29 @@ class EvalPlan:
     def __getstate__(self) -> Dict[str, Any]:
         """Closure-free state for plan artifacts.
 
-        ``payloads`` (closures over host scopes) and ``fn`` (an exec'd
-        function object) cannot be pickled; ``fn`` is rebuilt on restore
-        — from the marshalled code object when the reading interpreter
-        matches (the fast path; re-``compile()``-ing a multi-thousand
-        line straight-line source dominates cold-start otherwise), from
-        ``source`` when it does not — and ``payloads`` by :meth:`rebind`
-        once the carrying circuit's payload closures have been rebuilt
-        from their relink specs."""
-        import marshal
-
+        ``payloads`` (closures over host scopes) and ``fn`` (exec'd
+        function objects) cannot be pickled; ``fn`` is rebuilt on restore
+        — from the marshalled code of every piece when the reading
+        interpreter matches (the fast path; re-``compile()``-ing a
+        multi-thousand line straight-line source dominates cold-start
+        otherwise), from ``source`` when it does not — and ``payloads``
+        by :meth:`rebind` once the carrying circuit's payload closures
+        have been rebuilt from their relink specs."""
         state = {
             name: getattr(self, name)
             for name in self.__slots__
-            if name not in ("payloads", "fn")
+            if name not in ("payloads", "pieces", "fn")
         }
         try:
-            state["__code__"] = marshal.dumps(self.fn.__code__)
+            state["__pieces__"] = marshal.dumps(
+                tuple(piece.__code__ for piece in self.pieces)
+            )
         except Exception:
             pass
         return state
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
+        pieces_bytes = state.pop("__pieces__", None)
         code_bytes = state.pop("__code__", None)
         # Format-2 artifacts from earlier releases also carry the retired
         # source-cone tables; drop them so stored artifacts still load.
@@ -177,22 +190,18 @@ class EvalPlan:
         for name, value in state.items():
             setattr(self, name, value)
         self.payloads = ()
-        self.fn = None
-        if code_bytes is not None:
-            import marshal
-            import types
-
-            try:
-                self.fn = types.FunctionType(
-                    marshal.loads(code_bytes), {}, "__plan_react__"
-                )
-            except Exception:
-                self.fn = None
-        if self.fn is None:
-            namespace: Dict[str, Any] = {}
-            compiled = compile(self.source, f"<plan:{self.circuit.name}>", "exec")
-            exec(compiled, namespace)
-            self.fn = namespace["__plan_react__"]
+        try:
+            if pieces_bytes is not None:
+                codes = marshal.loads(pieces_bytes)
+            else:
+                # plans pickled before the split carry one ``__code__``
+                codes = (marshal.loads(code_bytes),)
+            self.pieces = tuple(
+                types.FunctionType(code, {}, "__plan_react__") for code in codes
+            )
+        except Exception:  # no code, or code this interpreter refuses
+            self.pieces = _compile_pieces(self.source, self.circuit.name)
+        self.fn = _chain(self.pieces)
 
     def rebind(self, circuit: Circuit) -> "EvalPlan":
         """Re-attach the plan to ``circuit`` (the same netlist, typically
@@ -385,6 +394,58 @@ def _generate_source(
     return "\n".join(lines) + "\n"
 
 
+def _split_source(source: str) -> List[str]:
+    """Cut the generated reaction function into piece functions of at
+    most :data:`PIECE_STATEMENTS` net statements each.
+
+    A statement starts at every line indented one level that is neither
+    a comment nor an ACTION's ``else:``; the lines under it belong to it.
+    Every piece keeps the function's signature and returns True when it
+    ran to its end, False where the source returns False (a relaxation
+    block that did not converge).  The latch epilogue is statements too,
+    so it lands in the last pieces and runs only after every block has
+    converged, as in the unsplit function.
+    """
+    lines = source.splitlines()
+    header, body = lines[0], lines[1:-1]  # drop the final "return True"
+    chunks: List[List[str]] = [[]]
+    count = 0
+    for line in body:
+        if not line.startswith(("     ", "    #", "    else:")):
+            if count == PIECE_STATEMENTS:
+                chunks.append([])
+                count = 0
+            count += 1
+        chunks[-1].append(line)
+    return ["\n".join([header, *chunk, "    return True"]) + "\n" for chunk in chunks]
+
+
+def _compile_pieces(source: str, name: str) -> Tuple[Callable[..., bool], ...]:
+    """Compile each piece of ``source`` on its own (see
+    :data:`PIECE_STATEMENTS`)."""
+    pieces = []
+    for k, piece in enumerate(_split_source(source)):
+        namespace: Dict[str, Any] = {}
+        exec(compile(piece, f"<plan:{name}#{k}>", "exec"), namespace)
+        pieces.append(namespace["__plan_react__"])
+    return tuple(pieces)
+
+
+def _chain(pieces: Tuple[Callable[..., bool], ...]) -> Callable[..., bool]:
+    """One reaction function over the pieces: run them in order, and
+    return False as soon as one reports a block that did not converge."""
+    if len(pieces) == 1:
+        return pieces[0]
+
+    def __plan_react__(V, S, P, host, G, B):
+        for piece in pieces:
+            if not piece(V, S, P, host, G, B):
+                return False
+        return True
+
+    return __plan_react__
+
+
 def build_plan(circuit: Circuit) -> EvalPlan:
     """Levelize ``circuit`` and compile its evaluation plan.
 
@@ -426,9 +487,7 @@ def build_plan(circuit: Circuit) -> EvalPlan:
     )
     fanin_index, fanin_src, fanin_neg, dep_index, dep_ids = _fanin_csr(circuit)
     source = _generate_source(circuit, lev, blocks, block_riders, reg_slot)
-    namespace: Dict[str, Any] = {}
-    code = compile(source, f"<plan:{circuit.name}>", "exec")
-    exec(code, namespace)
+    pieces = _compile_pieces(source, circuit.name)
 
     # -- sparse-mode tables -------------------------------------------------
     kind_code = array("b", (_KIND_CODE[net.kind] for net in circuit.nets))
@@ -471,7 +530,7 @@ def build_plan(circuit: Circuit) -> EvalPlan:
         dep_index,
         dep_ids,
         source,
-        namespace["__plan_react__"],
+        pieces,
         kind_code,
         rank,
         rank_order,

@@ -186,6 +186,9 @@ class Translator:
         self.template_options = template_options
         #: lexical signal scope: source name -> SignalInfo
         self.sigmap: Dict[str, SignalInfo] = {}
+        #: the scope's {name: slot} table, shared by every payload spec
+        #: built in this lexical scope; None until first asked for
+        self._table: Optional[Dict[str, int]] = None
         #: enclosing trap labels, outermost first
         self.traps: List[str] = []
         #: reader nets awaiting data-dependency patching:
@@ -236,8 +239,18 @@ class Translator:
     # payload factories (closures over signal-scope snapshots)
     # ------------------------------------------------------------------
 
+    def bind(self, name: str, info: SignalInfo) -> None:
+        """Bring signal ``info`` into the current scope as ``name``."""
+        self.sigmap[name] = info
+        self._table = None
+
     def _snapshot(self) -> Dict[str, int]:
-        return {name: info.slot for name, info in self.sigmap.items()}
+        """The current scope's {name: slot} table.  Every spec built in
+        one lexical scope shares it (specs only read it), so the tables
+        grow with the number of scopes, not with the number of nets."""
+        if self._table is None:
+            self._table = {name: info.slot for name, info in self.sigmap.items()}
+        return self._table
 
     def _spec_expr_net(self, enable: Literal, spec: tuple, label: str, loc=None) -> Net:
         net = self.circ.expr_net(enable, build_payload(spec), (), label, loc)
@@ -536,7 +549,7 @@ class Translator:
         return Ifc(self.FALSE, {code: ctx.go})
 
     def _tr_local(self, stmt: A.Local, ctx: Ctx) -> Ifc:
-        saved = dict(self.sigmap)
+        saved = (self.sigmap, self._table)
         infos: List[SignalInfo] = []
         for decl in stmt.decls:
             info = self.declare_signal(decl)
@@ -552,12 +565,14 @@ class Translator:
                 self._register_reads(action, init_expr)
                 info.writers.append(action.id)
                 info.init_writers.append(action.id)
+        # initializers above read the enclosing table; the body gets its own
+        self.sigmap = dict(self.sigmap)
         for decl, info in zip(stmt.decls, infos):
-            self.sigmap[decl.name] = info
+            self.bind(decl.name, info)
         try:
             body = self.translate(stmt.body, ctx)
         finally:
-            self.sigmap = saved
+            self.sigmap, self._table = saved
         return body
 
     def _tr_exec(self, stmt: A.Exec, ctx: Ctx) -> Ifc:
@@ -719,7 +734,7 @@ def translate_module(
             info.input_net = circ.input_net(f"input.{decl.name}", decl.loc)
             circ.or_into(info.status_net, lit(info.input_net))
         circ.interface[decl.name] = info
-        tr.sigmap[decl.name] = info
+        tr.bind(decl.name, info)
 
     ifc = tr.translate(body, Ctx(go, res, tr.FALSE, tr.FALSE))
     unresolved = [code for code in ifc.ks if code >= 2]

@@ -17,6 +17,8 @@ program drives sparse reactions into the tail-scan bailout, the one
 bound on a sparse reaction's cost.
 """
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, HealthCheck
 
@@ -26,11 +28,14 @@ from repro import (
     MachineSupervisor,
     ReactionBudgetExceeded,
     ReactiveMachine,
+    clear_compile_cache,
+    compile_module,
     parse_module,
 )
 from repro.apps.login import build_login_machine
 from repro.apps.pillbox import PillboxApp
 from repro.apps.skini import Audience, Performance, make_paper_score
+from repro.compiler import plan as plan_mod
 from repro.host import AuthService, SimulatedLoop
 from repro.runtime.fastsched import SPARSE_BAILOUT_FRACTION, PlanScheduler
 from tests.strategies import input_traces, pure_modules
@@ -79,6 +84,25 @@ def _observe(module, trace, backend):
         return None, (str(e), tuple(e.nets))
 
 
+def _assert_backends_agree(program, trace, label):
+    """Run ``program`` (a module or a compiled module) on ``trace`` and on
+    its doubled form, and compare both fast backends with the worklist;
+    ``label`` names the program in failure messages."""
+    doubled = [step for step in trace for _ in (0, 1)]
+    for inputs in (trace, doubled):
+        reference, reference_error = _observe(program, inputs, "worklist")
+        for backend in ("levelized", "sparse"):
+            observed, observed_error = _observe(program, inputs, backend)
+            assert reference_error == observed_error, (
+                f"causality reporting diverged ({backend})\n{label}\n"
+                f"{inputs}\nworklist={reference_error}\n{backend}={observed_error}"
+            )
+            assert reference == observed, (
+                f"trace divergence ({backend})\n{label}\ninputs={inputs}\n"
+                f"worklist={reference}\n{backend}={observed}"
+            )
+
+
 @settings(**_SETTINGS)
 @given(pure_modules(), input_traces())
 def test_backends_agree_on_random_programs(module, trace):
@@ -87,19 +111,45 @@ def test_backends_agree_on_random_programs(module, trace):
     including on doubled traces, where every other reaction repeats the
     previous instant's inputs (zero changed inputs for the sparse mode).
     """
-    doubled = [step for step in trace for _ in (0, 1)]
-    for inputs in (trace, doubled):
-        reference, reference_error = _observe(module, inputs, "worklist")
-        for backend in ("levelized", "sparse"):
-            observed, observed_error = _observe(module, inputs, backend)
-            assert reference_error == observed_error, (
-                f"causality reporting diverged ({backend})\n{module.body!r}\n"
-                f"{inputs}\nworklist={reference_error}\n{backend}={observed_error}"
-            )
-            assert reference == observed, (
-                f"trace divergence ({backend})\n{module.body!r}\ninputs={inputs}\n"
-                f"worklist={reference}\n{backend}={observed}"
-            )
+    _assert_backends_agree(module, trace, repr(module.body))
+
+
+@pytest.mark.parametrize("size", (1, 2, 7))
+@settings(**dict(_SETTINGS, max_examples=40))
+@given(pure_modules(), input_traces())
+def test_backends_agree_across_plan_pieces(size, module, trace):
+    """The property above with the reaction plan compiled in pieces of
+    ``size`` statements, so piece boundaries fall everywhere in these
+    small programs: between a relaxation block and its riders, inside
+    the latch epilogue, and after a block that does not converge (whose
+    causality error must still be the worklist's)."""
+    with mock.patch.object(plan_mod, "PIECE_STATEMENTS", size):
+        compiled = compile_module(module)
+        assert len(compiled.evaluation_plan().pieces) > 1
+    _assert_backends_agree(compiled, trace, f"piece size {size}: {module.body!r}")
+
+
+@pytest.mark.parametrize("size", (1, 2, 7))
+def test_cyclic_programs_across_plan_pieces(size):
+    """A block that does not converge stops the later pieces and reports
+    the worklist's error; the pillbox's constructive blocks run through."""
+    with mock.patch.object(plan_mod, "PIECE_STATEMENTS", size):
+        clear_compile_cache()
+        try:
+            module = parse_module("module M(out X) { if (!X.now) { emit X } }")
+            errors = {}
+            for backend in BACKENDS:
+                with pytest.raises(CausalityError) as info:
+                    ReactiveMachine(module, backend=backend).react({})
+                errors[backend] = (str(info.value), tuple(info.value.nets))
+            assert errors["worklist"] == errors["levelized"] == errors["sparse"]
+            plan = PillboxApp().machine.compiled.evaluation_plan()
+            assert plan.blocks and len(plan.pieces) > 1
+            worklist = _pillbox_trace("worklist")
+            assert worklist[1:] == _pillbox_trace("levelized")[1:]
+            assert worklist[1:] == _pillbox_trace("sparse")[1:]
+        finally:
+            clear_compile_cache()
 
 
 class TestAutoPolicy:
