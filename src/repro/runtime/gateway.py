@@ -213,8 +213,12 @@ class _Conn:
         self._wake = asyncio.Event()
         self._lock = asyncio.Lock()
         self._sending = False
-        self.last_inbound = time.monotonic()
+        self.last_inbound = self.last_outbound = time.monotonic()
         self._writer_task: Optional[asyncio.Task] = None
+        #: the heartbeat timer, due ``heartbeat_ms`` after the last
+        #: outbound frame; it sets ``_beat_due`` and wakes the writer
+        self._beat: Optional[asyncio.TimerHandle] = None
+        self._beat_due = False
 
     # -- outbound --------------------------------------------------------
 
@@ -249,6 +253,7 @@ class _Conn:
             self._sending = True
             try:
                 self.writer.write(data)
+                self.last_outbound = time.monotonic()
                 await self.writer.drain()
             finally:
                 self._sending = False
@@ -256,6 +261,7 @@ class _Conn:
     async def send_raw(self, data: bytes) -> None:
         async with self._lock:
             self.writer.write(data)
+            self.last_outbound = time.monotonic()
             await self.writer.drain()
 
     @property
@@ -264,28 +270,44 @@ class _Conn:
 
     def start_writer(self) -> None:
         self._writer_task = asyncio.ensure_future(self._write_loop())
+        self._arm_heartbeat()
+
+    def _arm_heartbeat(self) -> None:
+        delay_s = self.last_outbound + self.gateway.heartbeat_ms / 1000.0 - time.monotonic()
+        self._beat = asyncio.get_running_loop().call_later(delay_s, self._on_heartbeat)
+
+    def _on_heartbeat(self) -> None:
+        """The heartbeat timer fired: after ``heartbeat_ms`` with no
+        outbound frame the writer pings (or, past ``idle_timeout_ms``
+        without inbound traffic, closes); either way the timer re-arms
+        from the last outbound frame."""
+        now = time.monotonic()
+        if now - self.last_outbound >= self.gateway.heartbeat_ms / 1000.0:
+            self.last_outbound = now
+            self._beat_due = True
+            self._wake.set()
+        self._arm_heartbeat()
 
     async def _write_loop(self) -> None:
         gateway = self.gateway
-        heartbeat_s = gateway.heartbeat_ms / 1000.0
         try:
             while self.alive:
-                if not self.outbound:
-                    try:
-                        await asyncio.wait_for(self._wake.wait(), timeout=heartbeat_s)
-                    except asyncio.TimeoutError:
-                        idle_ms = (time.monotonic() - self.last_inbound) * 1000.0
-                        if idle_ms >= gateway.idle_timeout_ms:
-                            gateway.counters["idle_closed"] += 1
-                            await self._bail(1001, "idle timeout")
-                            return
-                        gateway.counters["pings"] += 1
-                        await self.send_raw(encode_frame(OP_PING, b"hb"))
-                        continue
+                # cleared before the work: a wake set during it makes the
+                # wait below return at once
                 self._wake.clear()
+                if self._beat_due:
+                    self._beat_due = False
+                    idle_ms = (time.monotonic() - self.last_inbound) * 1000.0
+                    if idle_ms >= gateway.idle_timeout_ms:
+                        gateway.counters["idle_closed"] += 1
+                        await self._bail(1001, "idle timeout")
+                        return
+                    gateway.counters["pings"] += 1
+                    await self.send_raw(encode_frame(OP_PING, b"hb"))
                 while self.outbound:
                     payload = self.outbound.popleft()
                     await self.send_json(payload)
+                await self._wake.wait()
         except (ConnectionError, OSError, RuntimeError):
             pass
         finally:
@@ -302,6 +324,10 @@ class _Conn:
 
     def detach(self) -> None:
         self.alive = False
+        if self._beat is not None:
+            self._beat.cancel()
+            self._beat = None
+        self._wake.set()  # a writer parked on the wake sees ``alive`` fall
         session, self.session = self.session, None
         if session is not None and session.conn is self:
             session.conn = None
@@ -343,8 +369,8 @@ class Gateway:
     :param heartbeat_ms: quiet-connection ping interval.
     :param idle_timeout_ms: close a connection with no inbound traffic
         (pongs count) for this long; the session stays resumable.
-    :param pump_interval_ms: idle tick of the pump task (admitted events
-        wake it immediately).
+    :param pump_interval_ms: idle tick of the pump (admitted events
+        schedule a pump immediately).
     :param grow: spawn new fleet members for sessions beyond the free
         pool (otherwise new sessions are refused with a 503 ``busy``).
     :param boot: drive one empty boot reaction on each member at start
@@ -402,9 +428,11 @@ class Gateway:
         self._conns: Set[_Conn] = set()
         self._sids = itertools.count(1)
         self._handler_tasks: Set[asyncio.Task] = set()
-        self._pump_event = asyncio.Event()
-        self._pump_task: Optional[asyncio.Task] = None
-        self._pumping = False
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        #: the one scheduled pump (``None`` unless a pump is pending)
+        self._pump_handle: Optional[asyncio.Handle] = None
+        #: the idle tick, re-armed every ``pump_interval_ms``
+        self._tick: Optional[asyncio.Handle] = None
         self._server: Optional[Any] = None
         self._running = False
         self._booted = False
@@ -465,15 +493,16 @@ class Gateway:
             machine.react({})
 
     async def start(self) -> None:
-        """Boot the fleet (when ``boot``) and start the pump task.  Must
-        run inside the event loop that will serve connections."""
+        """Boot the fleet (when ``boot``) and start the pump's idle tick.
+        Must run inside the event loop that will serve connections."""
         if self._running:
             return
         self._running = True
         if self.boot and not self._booted:
             self._booted = True
             self.ingress.fleet.react_all({})
-        self._pump_task = asyncio.ensure_future(self._pump_loop())
+        self._loop = asyncio.get_running_loop()
+        self._tick = self._loop.call_soon(self._pump_tick)
 
     async def serve(self, host: str = "127.0.0.1", port: int = 0) -> Any:
         """Start (if needed) and listen on TCP; returns the asyncio
@@ -485,9 +514,13 @@ class Gateway:
 
     async def aclose(self) -> None:
         """Stop serving: close the listener, every live connection, and
-        the pump task.  Sessions are kept (a restarted gateway could
-        readopt them; tests inspect them)."""
+        the pump.  Sessions are kept (a restarted gateway could readopt
+        them; tests inspect them)."""
         self._running = False
+        for handle in (self._pump_handle, self._tick):
+            if handle is not None:
+                handle.cancel()
+        self._pump_handle = self._tick = None
         if self._server is not None:
             self._server.close()
             try:
@@ -495,32 +528,43 @@ class Gateway:
             except (ConnectionError, OSError):  # pragma: no cover
                 pass
             self._server = None
+        owned = list(self._handler_tasks)
         for conn in list(self._conns):
             conn.cancel()
-        for task in list(self._handler_tasks):
+            if conn._writer_task is not None:
+                owned.append(conn._writer_task)
+        for task in self._handler_tasks:
             task.cancel()
         self._handler_tasks.clear()
-        if self._pump_task is not None:
-            self._pump_task.cancel()
-            try:
-                await self._pump_task
-            except (asyncio.CancelledError, Exception):
-                pass
-            self._pump_task = None
+        # wait for the cancelled tasks to unwind; meanwhile the handlers
+        # of aborted TCP connections see the abort and return, before
+        # the loop that serves them may stop
+        await asyncio.gather(*owned, return_exceptions=True)
 
     # -- the pump --------------------------------------------------------
 
-    async def _pump_loop(self) -> None:
-        interval_s = self.pump_interval_ms / 1000.0
-        while self._running:
-            try:
-                await asyncio.wait_for(self._pump_event.wait(), timeout=interval_s)
-            except asyncio.TimeoutError:
-                pass
-            self._pump_event.clear()
+    def _wake_pump(self) -> None:
+        """Schedule one pump on the next loop iteration, unless one is
+        already pending or the gateway is not running."""
+        if self._pump_handle is None and self._running:
+            self._pump_handle = self._loop.call_soon(self._pump_soon)
+
+    def _pump_soon(self) -> None:
+        # clear first: a pump that raises reaches the loop's exception
+        # handler and leaves the next wake free to schedule another
+        self._pump_handle = None
+        self.pump_now()
+
+    def _pump_tick(self) -> None:
+        """The idle tick: pump every ``pump_interval_ms`` whatever woke
+        the pump, so mail offered straight to the ingress is served."""
+        try:
             self.pump_now()
-            # yield between pump rounds so reader/writer tasks interleave
-            await asyncio.sleep(0)
+        finally:
+            if self._running:
+                self._tick = self._loop.call_later(
+                    self.pump_interval_ms / 1000.0, self._pump_tick
+                )
 
     def pump_now(self) -> int:
         """Drain every pending mailbox through the ingress pump,
@@ -528,22 +572,18 @@ class Gateway:
         reactions driven.  Runs synchronously on the event loop — the
         pump is the serialization point, exactly like the host loop in
         the single-process deployments."""
-        self._pumping = True
         driven = 0
-        try:
-            while True:
-                results = self.ingress.pump()
-                failures = self.ingress.last_failures
-                if failures:
-                    self.counters["pump_failures"] += len(failures)
-                if not results and not failures:
-                    break
-                now = time.perf_counter()
-                for index, result in results.items():
-                    driven += 1
-                    self._deliver(index, result, now)
-        finally:
-            self._pumping = False
+        while True:
+            results = self.ingress.pump()
+            failures = self.ingress.last_failures
+            if failures:
+                self.counters["pump_failures"] += len(failures)
+            if not results and not failures:
+                break
+            now = time.perf_counter()
+            for index, result in results.items():
+                driven += 1
+                self._deliver(index, result, now)
         return driven
 
     def _deliver(self, index: int, result: Any, now: float) -> None:
@@ -943,7 +983,7 @@ class Gateway:
         session.record_applied(event_id)
         self.counters["events_applied"] += 1
         self._pending_stamps.setdefault(session.member, []).append(time.perf_counter())
-        self._pump_event.set()
+        self._wake_pump()
         await conn.send_json(
             {"t": "ack", "id": event_id, "decision": decision,
              "ack": session.last_event_id}
@@ -981,7 +1021,7 @@ class Gateway:
                 decisions[session.member] = self.ingress.offer(
                     session.member, inputs, now_ms
                 )
-        self._pump_event.set()
+        self._wake_pump()
         return decisions
 
     # -- observability ---------------------------------------------------
@@ -1053,11 +1093,11 @@ class Gateway:
         loop = asyncio.get_event_loop()
         deadline = loop.time() + timeout_s
         while loop.time() < deadline:
-            self._pump_event.set()
+            self._wake_pump()
             await asyncio.sleep(0.005)
             pending = self.ingress.pending
             queued = any(conn.busy for conn in self._conns)
-            if not pending and not queued and not self._pumping:
+            if not pending and not queued:
                 await asyncio.sleep(0.01)
                 if (
                     not self.ingress.pending

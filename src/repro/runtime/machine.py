@@ -39,6 +39,7 @@ from repro.errors import (
 )
 from repro.lang import ast as A
 from repro.lang import expr as E
+from repro.lang.signals import LOCAL
 from repro.compiler.compile import CompiledModule, CompileOptions, compile_cached
 from repro.runtime.execblock import ExecFailure, ExecHandle, ExecState
 from repro.runtime.fastsched import PlanScheduler
@@ -355,7 +356,12 @@ class ReactiveMachine:
             if name not in self.frame and init is not None:
                 self.frame[name] = init.eval(env)
         for info in self.compiled.circuit.signals:
-            if info.init is not None:
+            # a local whose initializer reads a signal gets its value from
+            # its in-scope ``siginit`` action on scope entry; the empty
+            # boot scope cannot resolve the signals it reads
+            if info.init is not None and not (
+                info.direction == LOCAL and info.init.signal_deps()
+            ):
                 value = info.init.eval(env)
                 signal = self._signals[info.slot]
                 signal.nowval = value

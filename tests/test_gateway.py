@@ -21,6 +21,7 @@ The load-bearing properties:
 
 import asyncio
 import json
+import sys
 import time
 
 import pytest
@@ -37,7 +38,7 @@ from repro.host import CircuitBreaker, SimulatedLoop
 from repro.host.netchaos import ChaosTransport, memory_pipe
 from repro.lang import dsl as hh
 from repro.runtime import wsproto
-from repro.runtime.gateway import LATENCY_WINDOW
+from repro.runtime.gateway import LATENCY_WINDOW, _Conn
 from repro.runtime.recovery import FleetSupervisor
 from repro.runtime.wsproto import (
     OP_BINARY,
@@ -259,10 +260,9 @@ class TestMemoryPipe:
 def make_gateway(size=4, **kwargs):
     ingress_kwargs = kwargs.pop("ingress_kwargs", {})
     ingress_kwargs.setdefault("capacity", 32)
+    kwargs.setdefault("pump_interval_ms", 2.0)
     fleet = make_audience_fleet(size)
-    return Gateway(
-        fleet.ingress(**ingress_kwargs), pump_interval_ms=2.0, **kwargs
-    )
+    return Gateway(fleet.ingress(**ingress_kwargs), **kwargs)
 
 
 class TestGatewaySessions:
@@ -423,6 +423,161 @@ class TestGatewaySessions:
             assert client.last_seq == session.seq
             await client.close()
             await gw.aclose()
+
+        run(scenario())
+
+
+# ---------------------------------------------------------------------------
+# the pump and the writers: scheduled callbacks and one timer each
+# ---------------------------------------------------------------------------
+
+
+def _made_by_gateway(frame):
+    """Whether the innermost method on this call stack that belongs to
+    the gateway or to a client is the gateway's (the server side)."""
+    while frame is not None:
+        owner = frame.f_locals.get("self")
+        if isinstance(owner, GatewayClient):
+            return False
+        if isinstance(owner, (Gateway, _Conn)):
+            return True
+        frame = frame.f_back
+    return False
+
+
+class TestPumpAndTimers:
+    def test_gateway_tasks_and_timers_bounded_by_connections(self):
+        """An admitted event is pumped by one scheduled callback and its
+        diff written by the connection's long-lived writer: the asyncio
+        Tasks and timers the gateway creates grow with its connections,
+        never with the events it serves or its pump passes."""
+
+        async def scenario():
+            gw = make_gateway(pump_interval_ms=10_000.0)
+            await gw.start()
+            loop = asyncio.get_running_loop()
+            made = []
+            default_factory = loop.get_task_factory()
+
+            def task_factory(loop, coro, **kwargs):
+                if _made_by_gateway(sys._getframe(1)):
+                    made.append(f"task {coro.__qualname__}")
+                if default_factory is not None:  # pragma: no cover
+                    return default_factory(loop, coro, **kwargs)
+                return asyncio.Task(coro, loop=loop, **kwargs)
+
+            call_at = loop.call_at
+
+            def counting_call_at(when, callback, *args, **kwargs):
+                if _made_by_gateway(sys._getframe(1)):
+                    made.append(f"timer {callback!r}")
+                return call_at(when, callback, *args, **kwargs)
+
+            loop.set_task_factory(task_factory)
+            loop.call_at = counting_call_at
+            try:
+                client = GatewayClient(gw.local_connector(), seed=30)
+                await client.connect()
+                for i in range(200):
+                    decision = await client.send_event({"select": i})
+                    assert decision in ("admitted", "coalesced")
+                await client.wait_view(lambda view: view.get("request") == 199)
+            finally:
+                loop.set_task_factory(default_factory)
+                del loop.call_at
+            session = gw.sessions[client.sid]
+            assert session.applied_count == 200
+            assert gw.counters["diffs"] >= 100
+            # the idle tick re-arming once, then per connection: its
+            # handler, its writer and its heartbeat timer
+            assert len(made) <= 1 + 3 * gw.counters["connections"], made
+            await client.close()
+            await gw.aclose()
+
+        run(scenario())
+
+    def test_busy_connection_is_never_pinged(self):
+        async def scenario():
+            gw = make_gateway(heartbeat_ms=100.0, idle_timeout_ms=10_000.0)
+            await gw.start()
+            client = GatewayClient(gw.local_connector(), seed=31)
+            await client.connect()
+            loop = asyncio.get_running_loop()
+            end = loop.time() + 0.6
+            while loop.time() < end:
+                gw.broadcast({})  # one diff per session: outbound traffic
+                await asyncio.sleep(0.01)
+            assert gw.counters["diffs"] >= 30
+            assert gw.counters["pings"] == 0
+            await client.close()
+            await gw.aclose()
+
+        run(scenario())
+
+    def test_idle_tick_pumps_mail_offered_straight_to_the_ingress(self):
+        async def scenario():
+            gw = make_gateway(pump_interval_ms=20.0)
+            await gw.start()
+            client = GatewayClient(gw.local_connector(), seed=32)
+            await client.connect()
+            session = gw.sessions[client.sid]
+            # no gateway wake: only the idle tick can pump this
+            gw.ingress.offer(session.member, {"select": 3})
+            await client.wait_view(lambda view: view.get("request") == 3, timeout_s=0.2)
+            await client.close()
+            await gw.aclose()
+
+        run(scenario())
+
+    def test_raising_pump_is_reported_and_the_next_event_still_pumps(self):
+        async def scenario():
+            gw = make_gateway(pump_interval_ms=5.0)
+            await gw.start()
+            loop = asyncio.get_running_loop()
+            reported = []
+            loop.set_exception_handler(lambda loop, context: reported.append(context))
+            client = GatewayClient(gw.local_connector(), seed=33)
+            await client.connect()
+
+            def broken_pump():
+                raise RuntimeError("pump bug")
+
+            gw.ingress.pump = broken_pump
+            await client.send_event({"select": 1})  # its pump raises
+            await asyncio.sleep(0.05)  # and so does every idle tick
+            del gw.ingress.pump
+            assert len(reported) >= 2
+            assert all(isinstance(c.get("exception"), RuntimeError) for c in reported)
+            # the next admitted event is pumped, the mail left behind too
+            await client.send_event({"select": 2})
+            await client.wait_view(lambda view: view.get("request") == 2, timeout_s=5.0)
+            # and the idle tick is still armed
+            gw.ingress.offer(gw.sessions[client.sid].member, {"grant": 5})
+            await client.wait_view(lambda view: view.get("playing") == 5, timeout_s=5.0)
+            await client.close()
+            await gw.aclose()
+
+        run(scenario())
+
+    def test_nothing_runs_after_aclose(self):
+        async def scenario():
+            gw = make_gateway(pump_interval_ms=2.0, heartbeat_ms=5.0)
+            await gw.start()
+            client = GatewayClient(gw.local_connector(), seed=34)
+            await client.connect()
+            pumps = []
+            pump_now = gw.pump_now
+            gw.pump_now = lambda: pumps.append(1) or pump_now()
+            await asyncio.sleep(0.03)
+            assert pumps and gw.counters["pings"] >= 1
+            await gw.aclose()
+            pumps.clear()
+            pings = gw.counters["pings"]
+            gw.broadcast({})  # a wake after close schedules nothing
+            await asyncio.sleep(0.05)
+            assert not pumps
+            assert gw.counters["pings"] == pings
+            await client.close()
 
         run(scenario())
 
@@ -819,5 +974,29 @@ class TestTcpServing:
             server.close()
             await server.wait_closed()
             await gw.aclose()
+
+        run(scenario())
+
+    def test_aclose_unwinds_a_live_tcp_connection(self):
+        """The server's handler of a connection still open at ``aclose()``
+        returns before ``aclose()`` does; a handler the loop cancels on
+        shutdown instead trips asyncio's stream callback."""
+        from repro.runtime.gateway import tcp_connector
+
+        async def scenario():
+            gw = make_gateway(size=2, grow=False)
+            server = await gw.serve("127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            client = GatewayClient(tcp_connector("127.0.0.1", port), seed=6)
+            await client.connect()
+            await client.send_event({"select": 1})
+            handlers = [
+                task for task in asyncio.all_tasks()
+                if task.get_coro().__qualname__ == "Gateway.handle_connection"
+            ]
+            assert len(handlers) == 1
+            await gw.aclose()
+            assert handlers[0].done() and not handlers[0].cancelled()
+            await client.close()
 
         run(scenario())

@@ -196,7 +196,7 @@ def test_silent_stall_hits_idle_timeout_but_session_survives():
             fleet.ingress(capacity=16),
             pump_interval_ms=2.0,
             heartbeat_ms=20.0,
-            idle_timeout_ms=80.0,
+            idle_timeout_ms=200.0,
         )
         await gw.start()
         client = GatewayClient(
@@ -208,10 +208,14 @@ def test_silent_stall_hits_idle_timeout_but_session_survives():
         await client.sync()
         # go silent without closing: stop answering pings entirely
         client._reader_task.cancel()
-        await asyncio.sleep(0.3)
-        assert gw.counters["pings"] >= 1
-        assert gw.counters["idle_closed"] >= 1
         session = gw.sessions[client.sid]
+        await asyncio.sleep(0.1)
+        # quiet for longer than heartbeat_ms: pinged, but not yet closed
+        assert gw.counters["pings"] >= 1
+        assert gw.counters["idle_closed"] == 0
+        assert session.conn is not None
+        await asyncio.sleep(0.4)
+        assert gw.counters["idle_closed"] >= 1
         assert session.conn is None  # socket reaped...
         assert client.sid in gw.sessions  # ...session resumable
         client._connected = False  # the cancelled reader can't notice

@@ -153,6 +153,16 @@ class TestScheduling:
         m = machine_for(src)
         assert m.react({})["O"] == 9
 
+    @pytest.mark.parametrize("backend", ["worklist", "levelized", "sparse"])
+    def test_local_init_reading_a_signal_evaluates_in_scope(self, backend):
+        src = """
+        module M(in I = 1, out Y = 0) {
+          fork { signal L = I.nowval + 10; emit Y(L.nowval) }
+        }
+        """
+        m = machine_for(src, backend=backend)
+        assert m.react({"I": 5})["Y"] == 15
+
     def test_chain_of_value_dependencies(self):
         src = """
         module M(out O) {
