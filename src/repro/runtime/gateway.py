@@ -521,13 +521,9 @@ class Gateway:
             if handle is not None:
                 handle.cancel()
         self._pump_handle = self._tick = None
-        if self._server is not None:
-            self._server.close()
-            try:
-                await self._server.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
-            self._server = None
+        server, self._server = self._server, None
+        if server is not None:
+            server.close()
         owned = list(self._handler_tasks)
         for conn in list(self._conns):
             conn.cancel()
@@ -540,6 +536,13 @@ class Gateway:
         # of aborted TCP connections see the abort and return, before
         # the loop that serves them may stop
         await asyncio.gather(*owned, return_exceptions=True)
+        if server is not None:
+            try:
+                # from CPython 3.12.1 on this also waits until every
+                # accepted connection is lost, so it follows the aborts
+                await server.wait_closed()
+            except (ConnectionError, OSError):  # pragma: no cover
+                pass
 
     # -- the pump --------------------------------------------------------
 
@@ -556,8 +559,9 @@ class Gateway:
         self.pump_now()
 
     def _pump_tick(self) -> None:
-        """The idle tick: pump every ``pump_interval_ms`` whatever woke
-        the pump, so mail offered straight to the ingress is served."""
+        """The idle tick: pump every ``pump_interval_ms`` even when
+        nothing woke the pump, so mail offered straight to the ingress
+        is served too."""
         try:
             self.pump_now()
         finally:
