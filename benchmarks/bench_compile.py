@@ -11,7 +11,7 @@ and recorded in BENCH_compile.json:
 * **link speedup** — compiling a score with 64 instantiations of one
   module is ≥5× faster with sub-circuit linking than through the inlined
   seed path on the same workload;
-* **artifact cold-start** — a worker cold-starting from the artifact
+* **artifact cold-start** — a restarted process loading from the artifact
   store (hydrate the pickled circuit + evaluation plan, first reaction)
   reaches its first reaction ≥10× sooner than one cold-starting from
   sources (parse, inline compile, plan build, first reaction);
@@ -134,7 +134,7 @@ def test_link_speedup():
 
 
 def test_cold_start_from_artifact_store(tmp_path):
-    """Worker cold-start: artifact store vs sources, both measured to the
+    """Process restart: artifact store vs sources, both measured to the
     first reaction — what a process restart actually costs."""
     source = modular_score_source(INSTANCES, STAGES)
     entry, table = modular_score(INSTANCES, STAGES)

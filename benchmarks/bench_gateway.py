@@ -31,6 +31,13 @@ here and recorded in BENCH_gateway.json:
     the resilience machinery itself (reconnect storms, resume replay,
     retransmission, fencing) adds to the tail, which is the thing
     that must stay bounded.
+
+Both cohorts record how long driving took two ways.  ``drive_s`` (and
+``events_per_s``, which divides by it) is the wall time until the
+slowest client finishes; in the storm one client whose frame the chaos
+drops waits out its 5 s ack timeout and sets it.
+``client_drive_p50_s`` and ``client_drive_max_s`` are the median and
+slowest of each client's own drive time.
 """
 
 import asyncio
@@ -119,9 +126,11 @@ async def _cohort(profile, seed, chaos, storm_p):
     gw.latency_samples.clear()  # measure the driven window only
 
     gave_up = []
+    client_drive_s = []
 
     async def drive(i, client):
         storm_rng = random.Random(seed * 7777 + i)
+        started = time.perf_counter()
         try:
             for j in range(1, events + 1):
                 await client.send_event({"select": f"p{j % 3}"})
@@ -130,6 +139,8 @@ async def _cohort(profile, seed, chaos, storm_p):
                 await asyncio.sleep(storm_rng.uniform(think_lo, think_hi) / 1000.0)
         except Exception:  # noqa: BLE001 - a give-up is itself the failure
             gave_up.append(i)
+        else:
+            client_drive_s.append(time.perf_counter() - started)
 
     start = time.perf_counter()
     await asyncio.gather(*(drive(i, c) for i, c in enumerate(clients)))
@@ -162,6 +173,8 @@ async def _cohort(profile, seed, chaos, storm_p):
         "clients": n,
         "events": n * events,
         "drive_s": round(drive_s, 2),
+        "client_drive_p50_s": round(harness.median(client_drive_s), 2),
+        "client_drive_max_s": round(max(client_drive_s), 2),
         "events_per_s": round(len(samples) / max(drive_s, 1e-9)),
         "chaos_fired": chaos_fired,
         "reconnects": sum(c.stats["reconnects"] for c in clients),

@@ -3,7 +3,7 @@
 
     python benchmarks/report.py [--quick]
 
-A section that a benchmark gate owns (E5, E6, C1, F1, R2, O1, S1, G1) runs
+A section that a benchmark gate owns (E5, E6, C1, F1, R2, O1, G1) runs
 that gate and prints what the gate wrote to its ``BENCH_*.json``; the
 other sections measure and print.  ``--quick`` switches every section
 to its reduced-size profile (smaller score, fleets and cohorts, fewer
@@ -302,25 +302,6 @@ def o1():
           f"{scaling['ratio']:.2f}x (gate {scaling['gate']}x)")
 
 
-def s1():
-    print("\nS1 - sharded fleets (multi-process react_all + live migration)")
-    import bench_shard
-
-    bench_shard.test_live_migration_within_reaction_budget()
-    bench_shard.test_sharded_react_all_throughput()
-    data = harness.read("shard")
-    mig, thr = data["migration"], data["throughput"]
-    print(f"  migration: {mig['migration_ms']:.3f} ms = {mig['ratio']:.1f}x "
-          f"one sharded steady reaction ({mig['steady_reaction_ms']:.4f} ms; "
-          f"gate {mig['gate']:.0f}x); snapshot {mig['snapshot_bytes']} B")
-    enforced = "enforced" if thr["gate_enforced"] else "recorded only"
-    print(f"  throughput: {thr['members']} members x {thr['instants']} "
-          f"instants over {thr['shards']} shards: "
-          f"{thr['speedup']:.2f}x single-process on "
-          f"{thr['env']['usable_cores']} core(s) (gate {thr['gate']:.1f}x, "
-          f"{enforced})")
-
-
 def g1():
     print("\nG1 - network edge (WebSocket gateway chaos reconnect storm)")
     import bench_gateway
@@ -331,8 +312,11 @@ def g1():
     print(f"  unloaded: p50 {unloaded['p50_ms']:.3f} ms, "
           f"p99 {unloaded['p99_ms']:.3f} ms")
     print(f"  clean ({clean['clients']} clients): {clean['events']} events "
-          f"at {clean['events_per_s']}/s, p99 {clean['p99_ms']:.2f} ms")
-    print(f"  storm: {storm['reconnects']} reconnects, "
+          f"at {clean['events_per_s']}/s, p99 {clean['p99_ms']:.2f} ms; "
+          f"median client drove in {clean['client_drive_p50_s']:.2f} s")
+    print(f"  storm: median client drove in {storm['client_drive_p50_s']:.2f} s "
+          f"(slowest {storm['client_drive_max_s']:.2f} s); "
+          f"{storm['reconnects']} reconnects, "
           f"{storm['retransmits']} retransmits, {storm['resumed_replay']} "
           f"replays, {storm['snapshots']} snapshots; lost diffs "
           f"{storm['lost_diffs']}, double-applied {storm['double_applied']}, "
@@ -375,7 +359,6 @@ if __name__ == "__main__":
     r1()
     r2()
     o1()
-    s1()
     g1()
     a1()
     print(f"\nBENCH_*.json written to {harness.out_dir()}")

@@ -140,14 +140,14 @@ def nested_run(depth: int, fanout: int = 2):
 
 
 def and_bool(a, b):
-    """The generated Skini score's host predicate ``andBool``.  It is
-    module-level so that shard worker processes resolve it by name."""
+    """The generated Skini score's host predicate ``andBool``, which its
+    machines receive by name through ``host_globals``."""
     return bool(a and b)
 
 
 def mid_score():
-    """The mid-size Skini score (8 sections, 724 nets) that the fleet,
-    recovery and shard benches drive; returns ``(module, table)``.  Its
+    """The mid-size Skini score (8 sections, 724 nets) that the fleet
+    and recovery benches drive; returns ``(module, table)``.  Its
     machines need ``host_globals={"andBool": and_bool}``."""
     score = make_large_score(sections=8, groups_per_section=5, patterns_per_group=6)
     return generate_score_module(score)

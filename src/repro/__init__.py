@@ -22,6 +22,7 @@ Quickstart::
 """
 
 from repro.errors import (
+    ArtifactError,
     CausalityError,
     CompileError,
     CrashError,
@@ -33,11 +34,9 @@ from repro.errors import (
     OverloadError,
     ParseError,
     ReactionBudgetExceeded,
-    ShardError,
     SignalError,
     SnapshotError,
     ValidationError,
-    WorkerDied,
 )
 from repro.lang import ast, dsl, expr
 from repro.lang.ast import Module, ModuleTable
@@ -61,7 +60,6 @@ from repro.runtime import (
     MemoryJournal,
     ReactionResult,
     ReactiveMachine,
-    ShardManager,
     TokenBucket,
     TornJournalWarning,
 )
@@ -80,7 +78,6 @@ __all__ = [
     "TokenBucket",
     "MachineSupervisor",
     "FleetSupervisor",
-    "ShardManager",
     "MemoryJournal",
     "FileJournal",
     "TornJournalWarning",
@@ -114,7 +111,6 @@ __all__ = [
     "CrashError",
     "OverloadError",
     "ReactionBudgetExceeded",
-    "ShardError",
-    "WorkerDied",
+    "ArtifactError",
     "__version__",
 ]

@@ -15,6 +15,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.errors import ArtifactError
 from repro.lang import ast as A
 from repro.lang import expr as E
 from repro.lang.validate import validate_module
@@ -356,13 +357,13 @@ def compile_cache_stats() -> Dict[str, int]:
 
 
 # ---------------------------------------------------------------------------
-# plan artifacts (worker cold start)
+# plan artifacts (process cold start)
 # ---------------------------------------------------------------------------
 
 #: version tag of the :func:`plan_artifact` payload layout.  Format 2
 #: embeds the compiled circuit (closure-free; payload closures rebuilt
 #: from relink specs on hydration) and the serialized evaluation plan, so
-#: a worker cold-starts without ever touching the expander/translator.
+#: a new process cold-starts without ever touching the expander/translator.
 #: Format-1 payloads (recompile-on-hydrate) are still readable.
 PLAN_ARTIFACT_FORMAT = 2
 
@@ -372,7 +373,7 @@ def plan_artifact(
     modules: Optional[A.ModuleTable] = None,
     options: Optional[CompileOptions] = None,
 ) -> bytes:
-    """Serialize everything a worker process needs to rebuild this
+    """Serialize everything another process needs to rebuild this
     compiled module — the module AST, its resolution table, and the
     compile options — plus the structural fingerprint the rebuild must
     land on.
@@ -381,35 +382,32 @@ def plan_artifact(
     boundary (its circuit embeds closures), but compilation is a pure
     function of the sources, so shipping the AST and recompiling through
     :func:`compile_cached` on the far side reproduces the *same*
-    fingerprint — which is what makes snapshots, journals, and live
-    machine migration portable between shard workers.
+    fingerprint — which is what makes snapshots and journals portable
+    between processes.
 
     Only *portable* modules qualify: the AST must be renderable (the
     structural key exists) and must embed no host callables, because a
     callable's identity cannot survive pickling into another process —
-    two workers would compute different fingerprints and refuse each
+    two processes would compute different fingerprints and refuse each
     other's snapshots.  Host callables passed by *name* through
     ``host_globals`` are fine (they are resolved per machine, not hashed
     into the fingerprint).  Raises
-    :class:`~repro.errors.ShardError` for non-portable modules.
+    :class:`~repro.errors.ArtifactError` for non-portable modules.
     """
-    from repro.errors import ShardError
-
     embedded = _embedded_callables(module)
     if modules is not None:
         for name in modules.names():
             embedded.extend(_embedded_callables(modules.get(name)))
     if embedded:
-        raise ShardError(
+        raise ArtifactError(
             f"module {module.name!r} embeds {len(embedded)} host "
             "callable(s) in its AST; its compile fingerprint cannot be "
             "reproduced in another process.  Pass host functions by name "
-            "via host_globals, or hand the ShardManager a factory spec "
-            "instead of an artifact."
+            "via host_globals."
         )
     fingerprint = _structural_key(module, modules, options)
     if fingerprint is None:
-        raise ShardError(
+        raise ArtifactError(
             f"module {module.name!r} is not renderable; cannot build a "
             "portable plan artifact for it"
         )
@@ -442,15 +440,15 @@ def plan_artifact(
     try:
         return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
     except Exception as err:
-        raise ShardError(
+        raise ArtifactError(
             f"module {module.name!r} could not be pickled into a plan "
             f"artifact: {err}"
         ) from err
 
 
 #: per-process cache of hydrated artifacts, keyed by fingerprint: every
-#: machine a worker hosts shares one compiled circuit and eval plan, and
-#: repeated hydrations of the same artifact are O(dict lookup)
+#: machine built from one artifact shares its compiled circuit and eval
+#: plan, and repeated hydrations of the same artifact are O(dict lookup)
 _hydrate_cache: Dict[str, CompiledModule] = {}
 
 
@@ -473,14 +471,12 @@ def hydrate_plan_artifact(data: bytes) -> CompiledModule:
     snapshot compatibility, which must fail loudly here rather than
     corrupt a restore later.
     """
-    from repro.errors import ShardError
-
     try:
         payload = pickle.loads(data)
     except Exception as err:
-        raise ShardError(f"plan artifact could not be unpickled: {err}") from err
+        raise ArtifactError(f"plan artifact could not be unpickled: {err}") from err
     if not isinstance(payload, dict) or payload.get("format") not in (1, 2):
-        raise ShardError(
+        raise ArtifactError(
             f"unsupported plan artifact format "
             f"{payload.get('format') if isinstance(payload, dict) else payload!r} "
             f"(this runtime reads formats 1..{PLAN_ARTIFACT_FORMAT})"
@@ -511,7 +507,7 @@ def hydrate_plan_artifact(data: bytes) -> CompiledModule:
             payload["module"], payload["modules"], payload["options"]
         )
         if compiled.fingerprint != expected:
-            raise ShardError(
+            raise ArtifactError(
                 f"plan artifact fingerprint mismatch: artifact recorded "
                 f"{expected!r}, hydration produced {compiled.fingerprint!r} — "
                 "the module did not survive the process boundary structurally "
@@ -526,8 +522,8 @@ class ArtifactStore:
 
     One entry per compiled program variant (module + resolution table +
     options), written atomically (temp file + ``os.replace``) so
-    concurrent workers can share a store directory.  ``load`` goes
-    through the per-process hydrate cache, so a worker hosting many
+    concurrent processes can share a store directory.  ``load`` goes
+    through the per-process hydrate cache, so a process hosting many
     machines deserializes each artifact at most once.
     """
 
@@ -560,13 +556,11 @@ class ArtifactStore:
         return fingerprint
 
     def get(self, fingerprint: str) -> bytes:
-        from repro.errors import ShardError
-
         try:
             with open(self._path(fingerprint), "rb") as fh:
                 return fh.read()
         except FileNotFoundError:
-            raise ShardError(
+            raise ArtifactError(
                 f"artifact store {self.root!r} has no entry {fingerprint!r}"
             ) from None
 

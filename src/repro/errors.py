@@ -156,28 +156,11 @@ class ReactionBudgetExceeded(MachineError):
         super().__init__(message)
 
 
-class ShardError(MachineError):
-    """Multi-process shard protocol violations: a worker refused a
-    command, an artifact could not be hydrated, or a member was addressed
-    on a shard that does not host it."""
-
-
-class WorkerDied(ShardError):
-    """A shard worker process died (SIGKILL, OOM, segfault) or missed its
-    reaction deadline.  The :class:`~repro.runtime.shard.ShardManager`
-    raises this *after* re-placing the dead shard's members onto
-    surviving workers, so by the time a caller sees it the fleet is whole
-    again — the exception reports the failure, it does not leave one.
-
-    :param worker_id: the dead worker's id.
-    :param recovered: global member ids re-placed onto survivors.
-    """
-
-    def __init__(self, message: str, worker_id: Optional[int] = None,
-                 recovered: Sequence[int] = ()):
-        self.worker_id = worker_id
-        self.recovered = list(recovered)
-        super().__init__(message)
+class ArtifactError(MachineError):
+    """A compiled plan artifact could not be written or loaded: the
+    program is not portable or not picklable, the artifact is missing
+    from its store or cannot be unpickled, its format is unsupported, or
+    recompiling it does not land on the fingerprint it recorded."""
 
 
 class FleetReactionError(MachineError):

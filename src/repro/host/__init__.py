@@ -19,7 +19,7 @@ from repro.host.resilience import (
     with_retry,
     with_timeout,
 )
-from repro.host.chaos import ChaosLoop, LoadGenerator, MachineCrasher, WorkerCrasher
+from repro.host.chaos import ChaosLoop, LoadGenerator, MachineCrasher
 from repro.host.netchaos import ChaosTransport, MemoryEndpoint, memory_pipe
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "AsyncioLoop",
     "ChaosLoop",
     "MachineCrasher",
-    "WorkerCrasher",
     "LoadGenerator",
     "ChaosTransport",
     "MemoryEndpoint",

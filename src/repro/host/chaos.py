@@ -212,81 +212,6 @@ class MachineCrasher:
         )
 
 
-class WorkerCrasher:
-    """Deterministic crash injection for a
-    :class:`~repro.runtime.shard.ShardManager`'s worker *processes* —
-    the real-SIGKILL sibling of :class:`MachineCrasher`.
-
-    Where :class:`MachineCrasher` raises an in-process
-    :class:`~repro.errors.CrashError`, this arms an actual
-    ``os.kill(pid, SIGKILL)`` inside a seeded worker, so the whole shard
-    (its machines, mailboxes, and pipe endpoints) vanishes exactly the
-    way an OOM-kill or segfault would.  Two fault shapes, mirroring the
-    single-machine crasher:
-
-    * :meth:`kill_between_instants` — the worker dies right before
-      processing its next driving command, cleanly between instants;
-    * :meth:`kill_mid_instant` — the worker dies immediately after a
-      seeded number of write-ahead journal appends, i.e. with an
-      instant's inputs durably journaled but uncommitted and its host
-      effects unfired (the crash window recovery must redo *live*).
-
-    Arming is remote and asynchronous: the fault fires on a later
-    driving call (``react_all``/``pump_all``/...), where the
-    :class:`~repro.runtime.shard.ShardManager` detects the death and
-    fails the members over.  Each arming kills at most one worker.
-    """
-
-    def __init__(self, manager: Any, seed: int = 0, rng: Optional[random.Random] = None):
-        self.manager = manager
-        self.rng = rng if rng is not None else random.Random(seed)
-        self.crash_stats: Dict[str, int] = {"mid_instant": 0, "between_instants": 0}
-
-    def _pick_worker(self, worker_id: Optional[int]) -> int:
-        live = self.manager.live_workers()
-        if not live:
-            raise CrashError("no live worker to crash")
-        if worker_id is not None:
-            return worker_id
-        return self.rng.choice(sorted(w.id for w in live))
-
-    # -- fault arming ----------------------------------------------------
-
-    def kill_between_instants(self, worker_id: Optional[int] = None) -> int:
-        """Arm a SIGKILL of a (seeded) live worker right before its next
-        driving command; returns the doomed worker's id."""
-        wid = self._pick_worker(worker_id)
-        self.manager.arm_crash(wid, "between")
-        self.crash_stats["between_instants"] += 1
-        return wid
-
-    def kill_mid_instant(
-        self,
-        worker_id: Optional[int] = None,
-        after_appends: Optional[int] = None,
-    ) -> int:
-        """Arm a SIGKILL of a (seeded) live worker after its
-        ``after_appends``-th write-ahead journal append (seeded 1..8 when
-        not given) — mid-instant, mid-batch; returns the worker's id."""
-        wid = self._pick_worker(worker_id)
-        count = after_appends if after_appends is not None else self.rng.randint(1, 8)
-        self.manager.arm_crash(wid, "mid", after_appends=count)
-        self.crash_stats["mid_instant"] += 1
-        return wid
-
-    def kill_at_random(self) -> str:
-        """Arm one of the two fault shapes on a seeded worker; returns
-        which (``"mid"`` / ``"between"``)."""
-        if self.rng.random() < 0.5:
-            self.kill_between_instants()
-            return "between"
-        self.kill_mid_instant()
-        return "mid"
-
-    def __repr__(self) -> str:
-        return f"WorkerCrasher(stats={self.crash_stats})"
-
-
 class LoadGenerator:
     """Deterministic traffic generation against a loop's (virtual) time.
 

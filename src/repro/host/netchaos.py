@@ -1,8 +1,8 @@
 """Seeded network chaos for the WebSocket gateway.
 
-The sharding layer proved the runtime survives SIGKILLed *processes*
-(:class:`~repro.host.chaos.WorkerCrasher`); this module is the same
-discipline for the *network*: every failure a real edge sees — dropped
+:class:`~repro.host.chaos.MachineCrasher` proves a machine survives
+crashes between and mid instants; this module is the same discipline
+for the *network*: every failure a real edge sees — dropped
 connections, stalled peers, writes torn mid-frame, duplicated and
 reordered delivery after a reconnect — injected deterministically from a
 seed, so a failing storm is a reproducible test case.

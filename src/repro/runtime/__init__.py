@@ -11,8 +11,6 @@ from repro.runtime.journal import (
 )
 from repro.runtime.machine import ReactiveMachine, ReactionResult, SNAPSHOT_FORMAT
 from repro.runtime.recovery import FleetSupervisor, MachineSupervisor
-from repro.runtime.shard import ShardManager
-from repro.runtime.worker import ShardWorker, WorkerConfig
 
 __all__ = [
     "MachineFleet",
@@ -33,8 +31,5 @@ __all__ = [
     "TornJournalWarning",
     "MachineSupervisor",
     "FleetSupervisor",
-    "ShardManager",
-    "ShardWorker",
-    "WorkerConfig",
     "SNAPSHOT_FORMAT",
 ]

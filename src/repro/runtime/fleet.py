@@ -108,43 +108,11 @@ class MachineFleet:
         if size:
             self.spawn_many(size)
 
-    @classmethod
-    def from_artifact(
-        cls,
-        source: Any,
-        fingerprint: Optional[str] = None,
-        **kwargs: Any,
-    ) -> "MachineFleet":
-        """Cold-start a fleet from a compiled plan artifact instead of
-        from sources.
-
-        ``source`` is either the raw bytes of a
-        :func:`~repro.compiler.compile.plan_artifact` payload, or an
-        :class:`~repro.compiler.compile.ArtifactStore` (then
-        ``fingerprint`` selects which program to load).  Hydration skips
-        the whole frontend — parse, expansion, translation, optimization
-        and plan construction — so a worker process reaches its first
-        reaction an order of magnitude sooner than a fresh compile (see
-        ``benchmarks/bench_compile.py``)."""
-        from repro.compiler.compile import hydrate_plan_artifact
-
-        if isinstance(source, (bytes, bytearray)):
-            compiled = hydrate_plan_artifact(bytes(source))
-        else:
-            if fingerprint is None:
-                raise MachineError(
-                    "from_artifact(store, ...) needs the fingerprint of "
-                    "the program to load"
-                )
-            compiled = source.load(fingerprint)
-        return cls(compiled, **kwargs)
-
     # -- membership -----------------------------------------------------
 
     def build_machine(self, **overrides: Any) -> ReactiveMachine:
         """Construct a machine from the fleet's shared plan *without*
-        adding it to the fleet — e.g. to pre-warm spares whose circuit
-        allocation should happen off a latency-critical path."""
+        adding it to the fleet (:meth:`spawn` adds what it builds)."""
         kwargs = {**self._machine_kwargs, **overrides}
         return ReactiveMachine(self.compiled, backend=self._member_backend, **kwargs)
 
@@ -440,9 +408,6 @@ class FleetIngress:
         self.on_instant = on_instant
         self._capacity = capacity
         self._policy = policy
-        #: member indices removed from routing (shard migration sources);
-        #: their mailbox slots stay so historic indices remain stable
-        self.retired: set = set()
         #: the ready list: sorted indices of members whose mailbox may hold
         #: mail.  Every member with mail is listed (its mailbox's
         #: ``on_mail`` lists it when an offer ends its emptiness); a listed
@@ -495,12 +460,10 @@ class FleetIngress:
     # -- health-aware membership ----------------------------------------
 
     def is_healthy(self, index: int) -> bool:
-        """A member is routable unless it was retired, its supervisor
-        quarantined it, or one of its circuit breakers is open.  Reads
-        each breaker's ``snapshot()`` (which moves a cooled-down breaker
-        to half-open), not the member's whole ``health`` dict."""
-        if index in self.retired:
-            return False
+        """A member is routable unless its supervisor quarantined it or
+        one of its circuit breakers is open.  Reads each breaker's
+        ``snapshot()`` (which moves a cooled-down breaker to half-open),
+        not the member's whole ``health`` dict."""
         if self.supervisor is not None and self.supervisor.members[index].quarantined:
             return False
         for breaker in self.fleet[index]._breakers.values():
@@ -511,26 +474,21 @@ class FleetIngress:
     def healthy_members(self) -> List[int]:
         return [i for i in range(len(self.fleet)) if self.is_healthy(i)]
 
-    # -- dynamic membership (shard adoption / migration) -----------------
+    # -- dynamic membership ----------------------------------------------
 
-    def add_member(self, machine: Optional[Any] = None, **overrides: Any) -> int:
-        """Grow the guarded fleet by one member — either adopt an
-        existing ``machine`` (a migrated member arriving on this shard,
-        already restored; it is appended to the fleet) or spawn a fresh
-        one from the fleet's shared plan.  The new member gets its own
-        mailbox (same capacity/policy as the rest) and its index is
-        returned.  A default ``max_batch`` follows the membership, and so
-        does ``batch_size`` when batching is not adaptive.
+    def add_member(self, **overrides: Any) -> int:
+        """Grow the guarded fleet by one member spawned from the fleet's
+        shared plan (keyword overrides as for :meth:`MachineFleet.spawn`).
+        The new member gets its own mailbox (same capacity/policy as the
+        rest) and its index is returned.  A default ``max_batch`` follows
+        the membership, and so does ``batch_size`` when batching is not
+        adaptive.
 
         When a ``supervisor`` was given at construction, the caller must
         keep its ``members`` roster aligned (append a supervisor for the
         new machine) before routing to the new index.
         """
-        if machine is None:
-            machine = self.fleet.spawn(**overrides)
-        else:
-            self.fleet._machines.append(machine)
-        self._attach(machine)
+        self._attach(self.fleet.spawn(**overrides))
         if self._max_batch_follows:
             self.max_batch = max(self.max_batch, len(self.mailboxes))
             if self.target_latency_ms is None:
@@ -558,15 +516,6 @@ class FleetIngress:
         if at < len(ready) and ready[at] == index:
             del ready[at]
 
-    def retire(self, index: int) -> List[Dict[str, Any]]:
-        """Remove member ``index`` from routing (a migration source
-        leaving this shard): drain and return its mailbox backlog —
-        oldest first, to be shipped with the member — and mark the slot
-        retired so no new input is admitted to it.  Idempotent."""
-        backlog = self.mailboxes[index].drain()
-        self.retired.add(index)
-        return backlog
-
     # -- admission -------------------------------------------------------
 
     def offer(
@@ -575,13 +524,7 @@ class FleetIngress:
         """Offer one input map to member ``index``; returns the recorded
         admission decision (including :data:`~repro.runtime.ingress.RATE_LIMITED`
         when the token bucket refuses — the offer never reaches the
-        mailbox but is still on the record).  A retired member admits
-        nothing: the offer raises :class:`~repro.errors.MachineError`
-        before it is counted."""
-        if index in self.retired:
-            raise MachineError(
-                f"member {index} is retired; no new input is admitted to it"
-            )
+        mailbox but is still on the record)."""
         self.stats_counters["offered"] += 1
         if self.bucket is not None and not self.bucket.try_acquire(now_ms):
             self.stats_counters["rate_limited"] += 1
@@ -749,7 +692,6 @@ class FleetIngress:
             "latency_ewma_ms": self.latency.value,
             "healthy": len(self.healthy_members()),
             "members": len(self.mailboxes),
-            "retired": len(self.retired),
         }
 
     def __repr__(self) -> str:

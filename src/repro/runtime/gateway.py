@@ -2,7 +2,7 @@
 
 The paper's deployments are *web* programs — Skini serves an audience of
 phones — yet every robustness layer built so far (mailboxes, admission
-control, durable replay, sharding) stops at the process boundary.  This
+control, durable replay) stops at the process boundary.  This
 module is the edge that proves the story end to end: real(istic)
 connections, with all their failure modes, in front of a
 :class:`~repro.runtime.fleet.FleetIngress`-guarded fleet.

@@ -954,8 +954,9 @@ class ReactiveMachine:
         with — a compact, process-portable equality check for
         between-instant state, hashed once.  Two machines of the same
         compiled module have equal digests iff their observable state is
-        identical, which is how the shard layer asserts a migrated or
-        crash-recovered machine landed exactly where the original was."""
+        identical, which is how recovery and upgrade tests assert a
+        restored or crash-recovered machine landed exactly where the
+        original was."""
         return snapshot_checksum(self._capture())
 
     def restore(self, snap: Mapping) -> None:

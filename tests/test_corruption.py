@@ -21,7 +21,7 @@ from repro.compiler.compile import (
     hydrate_plan_artifact,
     plan_artifact,
 )
-from repro.errors import MachineError, ShardError, SnapshotError
+from repro.errors import ArtifactError, MachineError, SnapshotError
 from repro.runtime.journal import FileJournal, JournalEntry, TornJournalWarning
 from repro.runtime.machine import ReactiveMachine, snapshot_checksum
 from repro.syntax.parser import parse_program
@@ -166,7 +166,7 @@ def _artifact():
 def test_hydrate_truncated_artifact_rejected():
     data = _artifact()
     clear_hydrate_cache()
-    with pytest.raises(ShardError, match="unpickled"):
+    with pytest.raises(ArtifactError, match="unpickled"):
         hydrate_plan_artifact(data[: len(data) // 2])
 
 
@@ -174,7 +174,7 @@ def test_hydrate_version_skew_rejected():
     payload = pickle.loads(_artifact())
     payload["format"] = 99
     clear_hydrate_cache()
-    with pytest.raises(ShardError, match="format"):
+    with pytest.raises(ArtifactError, match="format"):
         hydrate_plan_artifact(pickle.dumps(payload))
 
 
@@ -185,6 +185,6 @@ def test_hydrate_fingerprint_mismatch_rejected():
     payload["compiled"] = None
     payload["fingerprint"] = "not-a-real-fingerprint"
     clear_hydrate_cache()
-    with pytest.raises(ShardError, match="fingerprint mismatch"):
+    with pytest.raises(ArtifactError, match="fingerprint mismatch"):
         hydrate_plan_artifact(pickle.dumps(payload))
     clear_hydrate_cache()

@@ -396,6 +396,70 @@ def test_bursty_schedule_replay_round_trip(schedule):
     assert fresh.snapshot() == machine.snapshot()
 
 
+HANDOFF_SOURCE = """
+module Mig(in A = 0, in B = 0, in C = 0,
+           out X = 0, out Y = 0, out Z) {
+  fork {
+    every (A.now) { emit X(A.nowval + (B.pre ? 10 : 1)) }
+  } par {
+    every (B.now) { emit Y(B.nowval + C.nowval) }
+  } par {
+    loop { await (C.now) emit Z pause }
+  }
+}
+"""
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(schedule=bursty_schedules(), data=st.data())
+def test_migration_trace_is_byte_identical(schedule, data):
+    """A snapshot + journal-tail handoff is trace-preserving: a machine
+    cut over mid-run — onto *any* backend — continues with byte-identical
+    emissions and lands on the byte-identical final state of a machine
+    that was never handed off."""
+    module = parse_module(HANDOFF_SOURCE)
+    script = [inputs for _, inputs in schedule]
+    src_backend = data.draw(st.sampled_from(BACKENDS), label="src_backend")
+    dst_backend = data.draw(st.sampled_from(BACKENDS), label="dst_backend")
+    cut = data.draw(
+        st.integers(min_value=0, max_value=len(script)), label="cut"
+    )
+
+    baseline = ReactiveMachine(module, backend=src_backend)
+    expected = [
+        json.dumps(dict(baseline.react(dict(inputs))), sort_keys=True)
+        for inputs in script
+    ]
+
+    # the handoff source journals everything after its checkpoint
+    source = ReactiveMachine(module, backend=src_backend)
+    journal = MemoryJournal()
+    checkpoint = source.snapshot()
+    source.attach_journal(journal)
+    migrated_trace = [
+        json.dumps(dict(source.react(dict(inputs))), sort_keys=True)
+        for inputs in script[:cut]
+    ]
+
+    # handoff: restore the checkpoint on a fresh machine of a possibly
+    # different backend, replay the journal tail, continue live
+    destination = ReactiveMachine(module, backend=dst_backend)
+    destination.restore(checkpoint)
+    destination.replay(journal.entries())
+    assert destination.state_digest() == source.state_digest()
+    migrated_trace += [
+        json.dumps(dict(destination.react(dict(inputs))), sort_keys=True)
+        for inputs in script[cut:]
+    ]
+
+    assert migrated_trace == expected
+    assert destination.state_digest() == baseline.state_digest()
+
+
 # ---------------------------------------------------------------------------
 # reset satellites
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Versioned state migration and zero-downtime hot program upgrade
-(:mod:`repro.runtime.migrate`, ``MachineSupervisor.upgrade``,
-``ShardManager.upgrade_program``; docs/resilience.md).
+(:mod:`repro.runtime.migrate`, ``MachineSupervisor.upgrade``;
+docs/resilience.md).
 
 The contract: a running machine's between-instant state survives a
 program edit *in place*.  State whose stable key — ``(segment path,
@@ -19,7 +19,6 @@ import pytest
 from repro import (
     CompileOptions,
     ReactiveMachine,
-    ShardManager,
     compile_module,
     parse_program,
 )
@@ -298,8 +297,8 @@ class TestSupervisorUpgrade:
             supervisor.upgrade(used)
 
 
-class TestRollingUpgrade:
-    """The acceptance property: a sharded fleet hot-upgrades v1 -> v2
+class TestHotUpgrade:
+    """The acceptance property: a supervised machine hot-upgrades v1 -> v2
     mid-run with zero dropped instants, byte-exact carried state, and an
     exactly-once host-effect ledger equal to the oracle's."""
 
@@ -307,7 +306,7 @@ class TestRollingUpgrade:
 
     def _oracle_ledger(self, v1, v2):
         """Drive v1 then migrate to v2 in-process: the reference timeline
-        a hot-upgraded member must reproduce exactly."""
+        a hot-upgraded machine must reproduce exactly."""
         machine = ReactiveMachine(v1)
         ledger = []
         seq = 0
@@ -326,53 +325,42 @@ class TestRollingUpgrade:
             seq += 1
         return machine, ledger
 
-    def test_sharded_hot_upgrade_matches_oracle(self, tmp_path):
-        from tests.test_shard_chaos import collect_effects
+    def _record_effects(self, machine, ledger):
+        """Append ``(instant, signal, value)`` to ``ledger`` for every
+        effect signal ``machine`` emits.  An upgrade may add or remove
+        outputs, so names this program version lacks are skipped."""
+        for name in self.EFFECTS:
+            if name not in machine.compiled.circuit.interface:
+                continue
+            machine.add_listener(
+                name,
+                lambda value, name=name: ledger.append(
+                    (machine.reaction_count - 1, name, value)
+                ),
+            )
 
-        v1_table = parse_program(V1_SRC)
-        v2_table = parse_program(V2_SRC)
+    def test_supervised_hot_upgrade_matches_oracle(self):
         v1, _ = _compiled(V1_SRC)
         v2, _ = _compiled(V2_SRC)
         oracle, expected_ledger = self._oracle_ledger(v1, v2)
 
-        size = 4
-        with ShardManager(
-            v1_table.get("Score"),
-            v1_table,
-            LINK,
-            shards=2,
-            size=size,
-            journal_dir=str(tmp_path),
-            effect_signals=self.EFFECTS,
-        ) as manager:
-            for inputs in V1_STEPS:
-                manager.react_all(dict(inputs))
+        ledger = []
+        supervisor = MachineSupervisor(ReactiveMachine(v1), MemoryJournal())
+        self._record_effects(supervisor.machine, ledger)
+        for inputs in V1_STEPS:
+            supervisor.react(dict(inputs))
 
-            result = manager.upgrade_program(
-                v2_table.get("Score"), v2_table, LINK
-            )
-            assert result["fingerprint"] == v2.fingerprint
-            assert len(result["workers"]) == 2
-            assert manager.stats["upgrades"] == 1
-            for gid in range(size):
-                report = result["reports"][gid]
-                assert any(
-                    key.startswith("/Worker#") for key in report.carried
-                ), f"member {gid} carried nothing"
+        successor = ReactiveMachine(v2)
+        self._record_effects(successor, ledger)
+        report = supervisor.upgrade(successor)
+        assert any(key.startswith("/Worker#") for key in report.carried)
 
-            for inputs in V2_STEPS:
-                manager.react_all(dict(inputs))
+        for inputs in V2_STEPS:
+            supervisor.react(dict(inputs))
 
-            # zero dropped instants: the reaction counter is continuous
-            # across the swap, and the end state equals the oracle's
-            for gid in range(size):
-                assert manager.member_digest(gid) == oracle.state_digest(), (
-                    f"member {gid} diverged from the upgrade oracle"
-                )
-
-        effects = collect_effects(str(tmp_path))
-        for gid in range(size):
-            assert sorted(effects.get(gid, [])) == sorted(expected_ledger), (
-                f"member {gid}: host effects lost or duplicated across "
-                f"the upgrade"
-            )
+        # zero dropped instants: the reaction counter is continuous
+        # across the swap, and the end state equals the oracle's
+        assert supervisor.machine.state_digest() == oracle.state_digest()
+        assert ledger == expected_ledger, (
+            "host effects lost or duplicated across the upgrade"
+        )

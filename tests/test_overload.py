@@ -400,8 +400,7 @@ _READY_OPS = st.lists(
         st.tuples(st.sampled_from(["offer", "offer", "offer", "machine_offer"]),
                   st.integers(0, 7), st.integers(1, 9)),
         st.tuples(st.just("pump"), st.integers(1, 3)),
-        st.tuples(st.sampled_from(["machine_pump", "retire", "quarantine",
-                                   "revive"]),
+        st.tuples(st.sampled_from(["machine_pump", "quarantine", "revive"]),
                   st.integers(0, 7)),
         st.tuples(st.sampled_from(["pump_all", "add_member"])),
     ),
@@ -587,16 +586,6 @@ class TestFleetIngress:
         # zero silent drops: every admitted-or-coalesced add=1 is summed
         assert total == stats["admitted"] + stats["coalesced"]
 
-    def test_offer_to_retired_member_raises(self):
-        fleet, ingress = self._fleet(size=3)
-        ingress.offer(1, {"add": 1})
-        assert ingress.retire(1) == [{"add": 1}]
-        with pytest.raises(MachineError):
-            ingress.offer(1, {"add": 2})
-        assert ingress.mailboxes[1].pending == 0
-        assert ingress.stats()["offered"] == 1
-        ingress.check_accounting()
-
     def test_default_max_batch_follows_membership(self):
         fleet, ingress = self._fleet(size=1)
         for _ in range(3):
@@ -629,17 +618,11 @@ class TestFleetIngress:
         for op, *args in ops:
             member = args[0] % len(ingress) if args else None
             if op == "offer":
-                if member in ingress.retired:
-                    with pytest.raises(MachineError):
-                        ingress.offer(member, {"add": args[1]})
-                else:
-                    ingress.offer(member, {"add": args[1]})
+                ingress.offer(member, {"add": args[1]})
             elif op == "machine_offer":
                 fleet[member].offer({"add": args[1]})
             elif op == "machine_pump":
                 fleet[member].pump()
-            elif op == "retire":
-                ingress.retire(member)
             elif op == "quarantine":
                 if not supervisor.members[member].quarantined:
                     with pytest.raises(ReactionBudgetExceeded):
