@@ -135,7 +135,7 @@ def test_link_speedup():
 
 def test_cold_start_from_artifact_store(tmp_path):
     """Process restart: artifact store vs sources, both measured to the
-    first reaction — what a process restart actually costs."""
+    first reaction."""
     source = modular_score_source(INSTANCES, STAGES)
     entry, table = modular_score(INSTANCES, STAGES)
 
