@@ -102,7 +102,9 @@ def test_sparse_speedup_on_one_changed_input():
     input's cone and reacts ≥5× faster (median) than the full levelized
     sweep.  The workload alternates the presence of one group input on
     the largest Skini score while the clock inputs stay constant, so
-    exactly one input changes per reaction."""
+    exactly one input changes per reaction.  It also records what one
+    sparse reaction evaluates: the mean nets per reaction and the sparse
+    median per evaluated net (not gated; docs/performance.md tracks it)."""
     score = make_large_score(sections=60, groups_per_section=5, patterns_per_group=6)
 
     def toggled(step):
@@ -119,14 +121,22 @@ def test_sparse_speedup_on_one_changed_input():
         perf.step()
         for step in range(10):  # settle
             perf.machine.react(toggled(step))
-        medians[backend] = harness.median(
-            [harness.time_ms(perf.machine.react, toggled(step)) for step in range(40)]
-        )
+        sched = perf.machine._scheduler
+        times, evaluated = [], []
+        for step in range(40):
+            times.append(harness.time_ms(perf.machine.react, toggled(step)))
+            if sched.last_dirty is not None:
+                evaluated.append(len(sched.last_dirty))
+        medians[backend] = harness.median(times)
         if backend == "sparse":
-            sched = perf.machine._scheduler
+            nets_per_reaction = sum(evaluated) / len(evaluated)
             sparse_counters = {
                 "sparse_reactions": sched.sparse_reactions,
                 "full_reactions": sched.full_reactions,
+                "nets_per_sparse_reaction": round(nets_per_reaction, 1),
+                "sparse_us_per_net": round(
+                    medians["sparse"] * 1000.0 / nets_per_reaction, 3
+                ),
             }
 
     speedup = medians["levelized"] / medians["sparse"]

@@ -143,7 +143,9 @@ def e6():
     medians = toggled["median_reaction_ms"]
     print(f"  one-toggled-input workload: levelized "
           f"{medians['levelized']:.3f} ms, sparse {medians['sparse']:.3f} ms "
-          f"({toggled['speedup']:.2f}x, gate 5x)")
+          f"({toggled['speedup']:.2f}x, gate 5x); sparse evaluates "
+          f"{toggled['nets_per_sparse_reaction']} nets/reaction, "
+          f"{toggled['sparse_us_per_net']:.3f} us/net")
 
 
 def c1():

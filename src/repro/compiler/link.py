@@ -38,7 +38,6 @@ from repro.compiler.netlist import (
     REG,
     Circuit,
     ExecInfo,
-    Literal,
     Net,
     SignalInfo,
     StateSegment,

@@ -21,9 +21,13 @@ case, including the login and Skini paper apps — get pure straight-line
 plans; constructive-but-cyclic ones (the pillbox) get straight-line code
 for the acyclic bulk with embedded relaxation blocks.
 
-The plan also carries CSR-style flat adjacency arrays (fanin offsets /
+The plan also carries CSR-style flat adjacency tables (fanin offsets /
 sources / negations, and data-dependency offsets / ids) so the runtime's
-relaxation and divergence paths never chase per-net Python lists.
+relaxation and divergence paths never chase per-net Python lists.  The
+tables the sparse evaluator reads once per evaluated net are lists that
+share one int object per value (see :func:`_share_ints`): reading one
+boxes nothing, where an ``array`` read allocates a fresh int for every
+value above 256.  They are pickled as arrays.
 
 A plan is immutable and machine-independent: per-machine state (net
 values, register state, the host object) is passed into the compiled
@@ -90,10 +94,11 @@ class EvalPlan:
         "rank",
         "rank_order",
         "fanout_index",
-        "fanout_ids",
+        "fanout_rank",
         "payload_ids",
         "reg_slot",
         "latch_of_wire",
+        "status_ids",
     )
 
     def __init__(
@@ -142,17 +147,38 @@ class EvalPlan:
         #: per-net position in the straight-line evaluation order
         self.rank = rank
         #: net ids in straight-line order (the inverse permutation of
-        #: ``rank``), for the sparse evaluator's tail-scan bailout
+        #: ``rank``): what the sparse evaluator's rank queue maps back
         self.rank_order = rank_order
-        #: CSR forward adjacency (fanins + data deps), for dirty propagation
+        #: CSR forward adjacency (fanins + data deps), for dirty
+        #: propagation: a net's consumers are ``fanout_rank[fanout_index[i]
+        #: : fanout_index[i + 1]]``, held as the ranks the queue takes
         self.fanout_index = fanout_index
-        self.fanout_ids = fanout_ids
         #: ids of every EXPR/ACTION net (the payload-bearing nets)
         self.payload_ids = payload_ids
         #: REG net id -> register state slot
         self.reg_slot = reg_slot
         #: register input wire -> ((slot, negated, reg_net_id), ...)
         self.latch_of_wire = latch_of_wire
+        self._derive_tables(fanout_ids)
+
+    def _derive_tables(self, fanout_ids: Any) -> None:
+        """Turn the integer tables sparse dispatch reads per evaluated
+        net into lists sharing one int object per value, map each
+        fanout edge to its target's rank, and collect the signal status
+        nets (whose evaluations the machine turns into statuses)."""
+        ints = _share_ints(
+            self.circuit, max(len(self.fanin_src), len(fanout_ids)) + 1
+        )
+        for name, _ in _LIST_TABLES:
+            setattr(self, name, [ints[v] for v in getattr(self, name)])
+        rank = self.rank
+        self.fanout_rank = [rank[net_id] for net_id in fanout_ids]
+        #: ids of the signal status nets
+        self.status_ids = frozenset(
+            info.status_net.id
+            for info in self.circuit.signals
+            if info.status_net is not None
+        )
 
     # -- serialization ------------------------------------------------------
 
@@ -166,12 +192,20 @@ class EvalPlan:
         multi-thousand line straight-line source dominates cold-start
         otherwise), from ``source`` when it does not — and ``payloads``
         by :meth:`rebind` once the carrying circuit's payload closures
-        have been rebuilt from their relink specs."""
+        have been rebuilt from their relink specs.  The list tables go
+        out as the arrays they were built from, fanout ranks as the
+        consumers' ids, and the derived tables not at all."""
         state = {
             name: getattr(self, name)
             for name in self.__slots__
-            if name not in ("payloads", "pieces", "fn")
+            if name not in ("payloads", "pieces", "fn", "fanout_rank", "status_ids")
         }
+        for name, typecode in _LIST_TABLES:
+            state[name] = array(typecode, state[name])
+        rank_order = self.rank_order
+        state["fanout_ids"] = array(
+            "l", [rank_order[r] for r in self.fanout_rank]
+        )
         try:
             state["__pieces__"] = marshal.dumps(
                 tuple(piece.__code__ for piece in self.pieces)
@@ -187,8 +221,10 @@ class EvalPlan:
         # source-cone tables; drop them so stored artifacts still load.
         state.pop("cones", None)
         state.pop("cone_sizes", None)
+        fanout_ids = state.pop("fanout_ids")
         for name, value in state.items():
             setattr(self, name, value)
+        self._derive_tables(fanout_ids)
         self.payloads = ()
         try:
             if pieces_bytes is not None:
@@ -212,16 +248,6 @@ class EvalPlan:
         return self
 
     # -- selection ----------------------------------------------------------
-
-    @property
-    def net_count(self) -> int:
-        """Total nets one full sweep evaluates — the natural unit for
-        reaction-deadline budgets (``ReactiveMachine``'s ``"auto"``
-        budget is a multiple of this, so a budget always admits the
-        plan's own full sweep and trips only on genuinely runaway
-        instants: unbounded deferred-reaction chains or pathological
-        relaxation)."""
-        return len(self.circuit.nets)
 
     @property
     def is_pure(self) -> bool:
@@ -260,7 +286,7 @@ class EvalPlan:
         total = 0
         for name in ("fanin_index", "fanin_src", "fanin_neg", "dep_index",
                      "dep_ids", "kind_code", "rank", "rank_order",
-                     "fanout_index", "fanout_ids"):
+                     "fanout_index", "fanout_rank"):
             total += sys.getsizeof(getattr(self, name))
         total += sys.getsizeof(self.source)
         total += sys.getsizeof(self.payload_ids)
@@ -273,6 +299,29 @@ class EvalPlan:
             f"EvalPlan({self.circuit.name}, {d['nets']} nets, "
             f"{d['levels']} levels, {d['blocks']} cyclic blocks)"
         )
+
+
+#: the integer tables sparse dispatch reads per evaluated net, kept as
+#: lists and pickled as arrays of these typecodes
+_LIST_TABLES = (
+    ("kind_code", "b"),
+    ("rank", "l"),
+    ("rank_order", "l"),
+    ("fanin_index", "l"),
+    ("fanin_src", "l"),
+    ("fanin_neg", "b"),
+    ("fanout_index", "l"),
+)
+
+
+def _share_ints(circuit: Circuit, top: int) -> List[int]:
+    """One int object for each value below ``top``, so that the list
+    tables hold references to shared ints rather than one boxed int per
+    entry.  Values below the net count reuse the nets' own ``id``
+    objects, which the circuit keeps alive anyway."""
+    ints = [net.id for net in circuit.nets]
+    ints.extend(range(len(ints), top))
+    return ints
 
 
 def _fanin_csr(circuit: Circuit) -> Tuple[array, array, array, array, array]:

@@ -53,7 +53,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.lang import expr as E
-from repro.compiler.netlist import ACTION, AND, EXPR, INPUT, OR, REG, Circuit, Net
+from repro.compiler.netlist import ACTION, AND, EXPR, INPUT, OR, REG, Circuit
 from repro.compiler.plan import EvalPlan
 
 

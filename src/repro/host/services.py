@@ -166,9 +166,6 @@ class AuthService:
         #: force the next n requests to fail regardless of credentials
         self.outage_requests = 0
 
-    def add_account(self, name: str, passwd: str) -> None:
-        self.accounts[name] = passwd
-
     def check(self, name: str, passwd: str) -> bool:
         if self.outage_requests > 0:
             self.outage_requests -= 1

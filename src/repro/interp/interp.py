@@ -31,7 +31,7 @@ compiled circuit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set
 
 from repro.errors import CausalityError, HipHopError
 from repro.lang import ast as A
@@ -92,11 +92,6 @@ def _cartesian(code_sets: List[FrozenSet[int]]):
     import itertools
 
     return itertools.product(*code_sets)
-
-
-def _seq_codes(first: FrozenSet[int], then) -> Tuple[FrozenSet[int], bool]:
-    """Codes of `p; q` given codes of p; returns (codes-from-p, q-runs)."""
-    return frozenset(c for c in first if c != 0), 0 in first
 
 
 def _clone(stmt: A.Stmt) -> A.Stmt:

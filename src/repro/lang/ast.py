@@ -199,11 +199,6 @@ class Delay:
         return f"Delay({self.expr!r}{flags}{count})"
 
 
-def sig_delay(name: str, immediate: bool = False, count: Optional[E.Expr] = None) -> Delay:
-    """Delay on a signal's presence: ``Delay(name.now)``."""
-    return Delay(E.SigRef(name, E.NOW), immediate, count)
-
-
 # ---------------------------------------------------------------------------
 # Statements
 # ---------------------------------------------------------------------------
@@ -934,15 +929,6 @@ class Exec(Stmt):
             if isinstance(action, list):
                 for stmt in action:
                     yield from stmt.exprs()
-
-    def start_signal_deps(self) -> Iterable[str]:
-        """Signals whose current-instant resolution the start action reads."""
-        deps: set = set()
-        if isinstance(self.start, list):
-            for stmt in self.start:
-                for ex in stmt.exprs():
-                    deps.update(ex.current_signal_deps())
-        return sorted(deps)
 
     @staticmethod
     def _rename_action(action: Optional[ExecAction], mapping: Dict[str, str]) -> Optional[ExecAction]:

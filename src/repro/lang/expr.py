@@ -815,11 +815,6 @@ def truthy(value: Any) -> bool:
     return True
 
 
-def const(value: Any) -> Lit:
-    """Shorthand for a literal expression."""
-    return Lit(value)
-
-
 TRUE = Lit(True)
 FALSE = Lit(False)
 NULL = Lit(None)

@@ -157,12 +157,6 @@ class _Printer:
     def emit(self, text: str) -> None:
         self.lines.append(_INDENT * self.indent + text)
 
-    def emit_lines(self, lines: List[str], prefix: str = "") -> None:
-        """Attach a multi-line fragment, first line appended to prefix."""
-        self.emit(prefix + lines[0])
-        for line in lines[1:]:
-            self.lines.append(_INDENT * self.indent + line)
-
     # -- statements -----------------------------------------------------------
 
     def statement(self, stmt: A.Stmt) -> None:

@@ -63,9 +63,6 @@ class SignalDecl:
     def renamed(self, name: str) -> "SignalDecl":
         return SignalDecl(name, self.direction, self.init, self.combine, self.loc)
 
-    def with_direction(self, direction: str) -> "SignalDecl":
-        return SignalDecl(self.name, direction, self.init, self.combine, self.loc)
-
     def __repr__(self) -> str:
         init = "" if self.init is None else f"={self.init!r}"
         return f"SignalDecl({self.direction} {self.name}{init})"

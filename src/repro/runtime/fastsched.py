@@ -30,9 +30,9 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 from repro.errors import ReactionBudgetExceeded
 from repro.compiler.netlist import ACTION, AND, EXPR, OR, Net, causality_error
 from repro.compiler.plan import (
+    KIND_ACTION,
     KIND_AND,
     KIND_EXPR,
-    KIND_INPUT,
     KIND_OR,
     KIND_REG,
     EvalPlan,
@@ -66,13 +66,13 @@ class PlanScheduler:
       must repeat), so sparse mode re-fires exactly the same set.
 
     Dirty nets are evaluated in the plan's straight-line rank order via
-    a min-heap, and a net's fanout (boolean consumers *and* data-dep
-    readers, from the plan's CSR arrays) joins the heap only when its
-    value actually changed — so work is proportional to real activity,
-    not circuit size.  Payloads fire under exactly the same conditions
-    and in exactly the same order as the full sweep, which makes traces
-    and host-effect interleavings byte-identical (checked by
-    ``tests/test_backend_parity.py``).
+    a min-heap of ranks, and a net's fanout (boolean consumers *and*
+    data-dep readers, from the plan's CSR tables) joins the heap only
+    when its value actually changed — so work is proportional to real
+    activity, not circuit size.  Payloads fire under exactly the same
+    conditions and in exactly the same order as the full sweep, which
+    makes traces and host-effect interleavings byte-identical (checked
+    by ``tests/test_backend_parity.py``).
 
     The heap loop counts the nets it actually dirtied, and past
     :data:`SPARSE_BAILOUT_FRACTION` of the circuit it degrades to a
@@ -85,9 +85,12 @@ class PlanScheduler:
     The first reaction, and the first after :meth:`clear_state` or a
     failed reaction, is a full sweep that rebuilds the change-tracking
     state.  :attr:`last_dirty` holds the net ids the latest reaction
-    evaluated (``None`` after a full sweep), which the reactive machine
-    uses to update signal statuses incrementally; :attr:`sparse_reactions`
-    and :attr:`full_reactions` count the two kinds of reaction.
+    evaluated, in evaluation order (``None`` after a full sweep), and
+    :attr:`last_status` the signal status nets among them, from which
+    the reactive machine updates signal statuses incrementally;
+    :attr:`last_latched` holds the register slots the latest sparse
+    reaction changed.  :attr:`sparse_reactions` and
+    :attr:`full_reactions` count the two kinds of reaction.
     """
 
     def __init__(self, plan: EvalPlan, host: Any, sparse: bool = False):
@@ -115,6 +118,10 @@ class PlanScheduler:
         self.sparse = sparse and plan.is_pure
         #: net ids evaluated by the last reaction; None = full sweep
         self.last_dirty: Optional[List[int]] = None
+        #: the signal status nets among ``last_dirty``
+        self.last_status: Optional[List[int]] = None
+        #: register slots whose state the last sparse reaction changed
+        self.last_latched: List[int] = []
         #: count of sparse vs full-sweep reactions (introspection)
         self.sparse_reactions = 0
         self.full_reactions = 0
@@ -122,11 +129,11 @@ class PlanScheduler:
             self._bail_limit = max(int(SPARSE_BAILOUT_FRACTION * n), 64)
             #: INPUT net ids that were present last reaction
             self._prev_present: set = set()
-            #: REG net ids whose state changed at the last latch
+            #: ranks of the REG nets whose state changed at the last latch
             self._dirty_regs: List[int] = []
-            #: EXPR/ACTION net ids whose enable is currently true
+            #: ranks of the EXPR/ACTION nets whose enable is currently true
             self._hot: set = set()
-            #: heap-membership flags, reused across reactions
+            #: heap-membership flags by rank, reused across reactions
             self._queued = bytearray(n)
             self._need_full = True
 
@@ -308,11 +315,12 @@ class PlanScheduler:
         self._sweep(input_values)
         plan = self.plan
         values = self.values
+        rank = plan.rank
         # Registers: the sweep showed V[reg] = old state, then latched the
         # new state, so a plain compare yields next reaction's dirty set.
         state = self.state
         self._dirty_regs = [
-            reg_id
+            rank[reg_id]
             for reg_id, slot in plan.reg_slot.items()
             if state[slot] != values[reg_id]
         ]
@@ -324,23 +332,32 @@ class PlanScheduler:
         for net_id in plan.payload_ids:
             lo = fanin_index[net_id]
             if values[fanin_src[lo]] ^ fanin_neg[lo]:
-                hot.add(net_id)
+                hot.add(rank[net_id])
         self._hot = hot
         self._prev_present = present
         self.last_dirty = None
+        self.last_status = None
         self._need_full = False
 
     def _react_sparse(self, input_values: Dict[int, bool], changed_inputs: set) -> None:
+        """Evaluate the dirty cone: a min-heap of bare ranks, seeded with
+        the changed inputs, the changed registers and the hot payloads,
+        popped in straight-line order; a net whose value changed queues
+        its consumers' ranks.  Every consumer ranks above its producer,
+        so a popped rank is never queued again this reaction and its
+        queued marker is cleared on the spot."""
         plan = self.plan
         values = self.values
         state = self.state
         rank = plan.rank
+        rank_order = plan.rank_order
         kind_code = plan.kind_code
         fanin_index = plan.fanin_index
         fanin_src = plan.fanin_src
         fanin_neg = plan.fanin_neg
         fanout_index = plan.fanout_index
-        fanout_ids = plan.fanout_ids
+        fanout_rank = plan.fanout_rank
+        status_ids = plan.status_ids
         payloads = plan.payloads
         reg_slot = plan.reg_slot
         latch_of_wire = plan.latch_of_wire
@@ -348,69 +365,56 @@ class PlanScheduler:
         hot = self._hot
         queued = self._queued
 
-        heap: List[Tuple[int, int]] = []
+        heap: List[int] = []
         for net_id in changed_inputs:
-            queued[net_id] = 1
-            heap.append((rank[net_id], net_id))
-        for net_id in self._dirty_regs:
-            if not queued[net_id]:
-                queued[net_id] = 1
-                heap.append((rank[net_id], net_id))
-        for net_id in hot:
-            if not queued[net_id]:
-                queued[net_id] = 1
-                heap.append((rank[net_id], net_id))
+            r = rank[net_id]
+            queued[r] = 1
+            heap.append(r)
+        for r in self._dirty_regs:
+            if not queued[r]:
+                queued[r] = 1
+                heap.append(r)
+        for r in hot:
+            if not queued[r]:
+                queued[r] = 1
+                heap.append(r)
         heapify(heap)
 
         dirty_order: List[int] = []
+        statuses: List[int] = []
         pending_latches: List[Tuple[int, Tuple[Tuple[int, bool, int], ...]]] = []
-        bail_limit = self._bail_limit
         budget = self.budget
+        bail_limit = self._bail_limit
+        # one comparison per net covers both the deadline and the bailout
+        limit = bail_limit if budget is None else min(budget, bail_limit)
         try:
             while heap:
-                if budget is not None and len(dirty_order) >= budget:
-                    self.last_evaluated = len(dirty_order)
-                    raise ReactionBudgetExceeded(
-                        f"reaction in {self.circuit.name} exceeded its "
-                        f"{budget}-net evaluation budget",
-                        budget=budget,
-                        evaluated=len(dirty_order),
-                    )
-                if len(dirty_order) >= bail_limit:
+                if len(dirty_order) >= limit:
+                    if budget is not None and len(dirty_order) >= budget:
+                        self.last_evaluated = len(dirty_order)
+                        raise ReactionBudgetExceeded(
+                            f"reaction in {self.circuit.name} exceeded its "
+                            f"{budget}-net evaluation budget",
+                            budget=budget,
+                            evaluated=len(dirty_order),
+                        )
                     # Too much of the circuit is actually dirty: finish
                     # the reaction as a straight-line tail scan from the
                     # next rank on (payloads already fired stay fired and
                     # every remaining net is evaluated exactly once).
                     self._tail_scan(
-                        heap[0][0], input_values, dirty_order, pending_latches
+                        heap[0], input_values, dirty_order, statuses, pending_latches
                     )
                     break
-                _, i = heappop(heap)
-                # On the dirty list *before* evaluation: a payload that
-                # raises mid-evaluation (crash injection, host error)
-                # must still have this net's queued marker cleared by the
-                # finally below, or it stays silently excluded from every
-                # later incremental reaction.
+                r = heappop(heap)
+                queued[r] = 0
+                i = rank_order[r]
                 dirty_order.append(i)
                 old = values[i]
                 kind = kind_code[i]
-                if kind == KIND_OR:
-                    new = False
-                    for j in range(fanin_index[i], fanin_index[i + 1]):
-                        if values[fanin_src[j]] ^ fanin_neg[j]:
-                            new = True
-                            break
-                elif kind == KIND_AND:
-                    new = True
-                    for j in range(fanin_index[i], fanin_index[i + 1]):
-                        if not (values[fanin_src[j]] ^ fanin_neg[j]):
-                            new = False
-                            break
-                elif kind == KIND_REG:
-                    new = state[reg_slot[i]]
-                elif kind == KIND_INPUT:
-                    new = i in input_values
-                else:  # KIND_EXPR / KIND_ACTION
+                # payload nets first: they are most of what a reaction
+                # re-evaluates (every hot payload re-fires each instant)
+                if kind == KIND_EXPR or kind == KIND_ACTION:
                     lo = fanin_index[i]
                     if values[fanin_src[lo]] ^ fanin_neg[lo]:
                         if kind == KIND_EXPR:
@@ -418,28 +422,49 @@ class PlanScheduler:
                         else:
                             payloads[i](host)
                             new = True
-                        hot.add(i)
+                        hot.add(r)
                     else:
                         new = False
-                        hot.discard(i)
+                        hot.discard(r)
+                elif kind == KIND_AND:
+                    new = True
+                    for j in range(fanin_index[i], fanin_index[i + 1]):
+                        if not (values[fanin_src[j]] ^ fanin_neg[j]):
+                            new = False
+                            break
+                elif kind == KIND_OR:
+                    new = False
+                    for j in range(fanin_index[i], fanin_index[i + 1]):
+                        if values[fanin_src[j]] ^ fanin_neg[j]:
+                            new = True
+                            break
+                    if i in status_ids:
+                        statuses.append(i)
+                elif kind == KIND_REG:
+                    new = state[reg_slot[i]]
+                else:  # KIND_INPUT
+                    new = i in input_values
                 values[i] = new
                 if new != old:
                     for j in range(fanout_index[i], fanout_index[i + 1]):
-                        succ = fanout_ids[j]
+                        succ = fanout_rank[j]
                         if not queued[succ]:
                             queued[succ] = 1
-                            heappush(heap, (rank[succ], succ))
+                            heappush(heap, succ)
                     latches = latch_of_wire.get(i)
                     if latches is not None:
                         pending_latches.append((i, latches))
         finally:
-            for net_id in dirty_order:
-                queued[net_id] = 0
-            for _, net_id in heap:
-                queued[net_id] = 0
+            # Whatever stopped the loop (the end, the bailout, a deadline
+            # or a payload that raised), no queued marker may survive it:
+            # a stale one would silently exclude its net from every later
+            # incremental reaction.
+            for r in heap:
+                queued[r] = 0
 
         self._latch(pending_latches)
         self.last_dirty = dirty_order
+        self.last_status = statuses
         self.last_evaluated = len(dirty_order)
 
     def _tail_scan(
@@ -447,6 +472,7 @@ class PlanScheduler:
         start_rank: int,
         input_values: Dict[int, bool],
         dirty_order: List[int],
+        statuses: List[int],
         pending_latches: List[Tuple[int, Tuple[Tuple[int, bool, int], ...]]],
     ) -> None:
         """Finish a bailed-out sparse reaction: evaluate every net from
@@ -461,6 +487,7 @@ class PlanScheduler:
         fanin_index = plan.fanin_index
         fanin_src = plan.fanin_src
         fanin_neg = plan.fanin_neg
+        status_ids = plan.status_ids
         payloads = plan.payloads
         reg_slot = plan.reg_slot
         latch_of_wire = plan.latch_of_wire
@@ -480,27 +507,11 @@ class PlanScheduler:
                     budget=self.budget,
                     evaluated=len(dirty_order),
                 )
-        for pos in range(start_rank, len(rank_order)):
-            i = rank_order[pos]
+        for r in range(start_rank, len(rank_order)):
+            i = rank_order[r]
             old = values[i]
             kind = kind_code[i]
-            if kind == KIND_OR:
-                new = False
-                for j in range(fanin_index[i], fanin_index[i + 1]):
-                    if values[fanin_src[j]] ^ fanin_neg[j]:
-                        new = True
-                        break
-            elif kind == KIND_AND:
-                new = True
-                for j in range(fanin_index[i], fanin_index[i + 1]):
-                    if not (values[fanin_src[j]] ^ fanin_neg[j]):
-                        new = False
-                        break
-            elif kind == KIND_REG:
-                new = state[reg_slot[i]]
-            elif kind == KIND_INPUT:
-                new = i in input_values
-            else:  # KIND_EXPR / KIND_ACTION
+            if kind == KIND_EXPR or kind == KIND_ACTION:
                 lo = fanin_index[i]
                 if values[fanin_src[lo]] ^ fanin_neg[lo]:
                     if kind == KIND_EXPR:
@@ -508,10 +519,28 @@ class PlanScheduler:
                     else:
                         payloads[i](host)
                         new = True
-                    hot.add(i)
+                    hot.add(r)
                 else:
                     new = False
-                    hot.discard(i)
+                    hot.discard(r)
+            elif kind == KIND_AND:
+                new = True
+                for j in range(fanin_index[i], fanin_index[i + 1]):
+                    if not (values[fanin_src[j]] ^ fanin_neg[j]):
+                        new = False
+                        break
+            elif kind == KIND_OR:
+                new = False
+                for j in range(fanin_index[i], fanin_index[i + 1]):
+                    if values[fanin_src[j]] ^ fanin_neg[j]:
+                        new = True
+                        break
+                if i in status_ids:
+                    statuses.append(i)
+            elif kind == KIND_REG:
+                new = state[reg_slot[i]]
+            else:  # KIND_INPUT
+                new = i in input_values
             values[i] = new
             dirty_order.append(i)
             if new != old:
@@ -526,15 +555,21 @@ class PlanScheduler:
         # Latch only the registers whose input wire was re-evaluated; all
         # other wires kept their value, so their registers keep their
         # state.  Deferred past the evaluation loop so a payload
-        # exception cannot leave the register file half-latched.
+        # exception cannot leave the register file half-latched.  The
+        # changed registers are queued by rank for the next reaction and
+        # reported by slot for the machine's checkpoint rows.
         values = self.values
         state = self.state
+        rank = self.plan.rank
         dirty_regs: List[int] = []
+        latched: List[int] = []
         for wire, latches in pending_latches:
             wire_value = bool(values[wire])
             for slot, neg, reg_id in latches:
                 new_state = wire_value ^ neg
                 if state[slot] != new_state:
                     state[slot] = new_state
-                    dirty_regs.append(reg_id)
+                    dirty_regs.append(rank[reg_id])
+                    latched.append(slot)
         self._dirty_regs = dirty_regs
+        self.last_latched = latched

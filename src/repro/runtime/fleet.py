@@ -532,16 +532,6 @@ class FleetIngress:
         self._routed[index] += 1
         return self.mailboxes[index].offer(inputs)
 
-    def offer_all(
-        self, inputs: Mapping[str, Any], now_ms: float = 0.0
-    ) -> Dict[int, str]:
-        """Offer the same map to every *healthy* member (one token each);
-        returns the per-member decisions."""
-        return {
-            index: self.offer(index, inputs, now_ms)
-            for index in self.healthy_members()
-        }
-
     def route(
         self, inputs: Mapping[str, Any], now_ms: float = 0.0
     ) -> Tuple[int, str]:

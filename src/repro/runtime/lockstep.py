@@ -72,7 +72,7 @@ members can see the transposed interleaving.
 from __future__ import annotations
 
 import sys
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.errors import MachineError
 from repro.compiler.plan import KIND_ACTION

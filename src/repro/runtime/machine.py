@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Union
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 from repro.errors import (
     MachineError,
@@ -231,12 +231,14 @@ class ReactiveMachine:
         self._active_slots: set = set()
         self._present_slots: set = set()
         self._touched_slots: set = set()
-        # Checkpoint row reuse (sparse backend): the signal rows of the
-        # last capture, or None when the next capture builds every row
-        # afresh, and (while there are rows) the slots whose row the next
-        # capture must rebuild.
+        # Checkpoint row reuse (sparse backend): the signal rows and the
+        # register row of the last capture, or None when the next capture
+        # builds them afresh, and (while there are rows) the signal slots
+        # and register slots whose entry the next capture must rebuild.
         self._rows: Optional[List[tuple]] = None
+        self._regs: Optional[List[int]] = None
         self._recapture: Optional[set] = None
+        self._relatch: Optional[set] = None
         (
             self._status_slot_of_net,
             self._iface_slots,
@@ -656,12 +658,17 @@ class ReactiveMachine:
         self._reacting = True
         try:
             self._scheduler.react(input_values)
+        except BaseException:
+            # The payloads that ran before the failure wrote these
+            # signals: the next begin_instant must reset them too.
+            self._active_slots |= touched
+            raise
         finally:
             self._reacting = False
 
-        values = self._scheduler.values
-        dirty = self._scheduler.last_dirty
-        if dirty is None:
+        scheduler = self._scheduler
+        values = scheduler.values
+        if scheduler.last_dirty is None:
             # Full sweep (first reaction after boot, restore or a failed
             # instant, or a plan with relaxation blocks): classic
             # post-processing, rebuilding the tracking sets.
@@ -672,16 +679,15 @@ class ReactiveMachine:
         status_slot_of_net = self._status_slot_of_net
         present = self._present_slots
         updated: set = set()
-        for net_id in dirty:
-            slot = status_slot_of_net.get(net_id)
-            if slot is not None:
-                updated.add(slot)
-                if values[net_id]:
-                    signals[slot].now = True
-                    present.add(slot)
-                else:
-                    signals[slot].now = False
-                    present.discard(slot)
+        for net_id in scheduler.last_status:
+            slot = status_slot_of_net[net_id]
+            updated.add(slot)
+            if values[net_id]:
+                signals[slot].now = True
+                present.add(slot)
+            else:
+                signals[slot].now = False
+                present.discard(slot)
         for slot in present:
             # Sustained signals: present before, status net untouched this
             # reaction (so still present), but begin_instant cleared `now`.
@@ -696,6 +702,7 @@ class ReactiveMachine:
         candidates |= updated
         if self._rows is not None:
             self._recapture |= candidates
+            self._relatch.update(scheduler.last_latched)
         active: set = set()
         for slot in candidates:
             signal = signals[slot]
@@ -734,7 +741,7 @@ class ReactiveMachine:
         """Post-reaction bookkeeping after a full sweep on the sparse
         backend: same as the classic path, plus a rebuild of the
         present/active tracking sets from scratch; the next capture
-        builds every signal row afresh."""
+        builds every row afresh."""
         circuit = self.compiled.circuit
         signals = self._signals
         present: set = set()
@@ -913,12 +920,13 @@ class ReactiveMachine:
                     ),
                 }
             )
+        signals, registers = self._state_rows()
         return {
             "format": SNAPSHOT_FORMAT,
             "fingerprint": self.compiled.fingerprint,
             "module": self.name,
-            "registers": [1 if value else 0 for value in self._scheduler.state],
-            "signals": self._signal_rows(),
+            "registers": registers,
+            "signals": signals,
             "counters": list(self._counters),
             "execs": execs,
             "frame": dict(self.frame),
@@ -926,28 +934,39 @@ class ReactiveMachine:
             "reaction_count": self.reaction_count,
         }
 
-    def _signal_rows(self) -> List[tuple]:
-        """One ``(now, pre, nowval, preval, emitted)`` row per signal.
+    def _state_rows(self) -> Tuple[List[tuple], List[int]]:
+        """One ``(now, pre, nowval, preval, emitted)`` row per signal, and
+        the 0/1 register values.
 
         The sparse backend keeps the last capture's rows and rebuilds
-        only the slots its reactions have touched since
-        (``_recapture``), so a checkpoint of a quiet machine costs the
-        rows that changed.  Every row is built afresh on the other
-        backends, and on the sparse one after a full sweep, a failed
-        reaction or :meth:`_rebuild_tracking`."""
+        only the signal slots its reactions have touched since
+        (``_recapture``) and the register slots they latched
+        (``_relatch``), so a checkpoint of a quiet machine costs what
+        changed.  Both are built afresh on the other backends, and on
+        the sparse one after a full sweep, a failed reaction or
+        :meth:`_rebuild_tracking` (each drops ``_rows``; the register
+        row is kept exactly while the signal rows are).  Every capture
+        gets its own lists, so no rollback point aliases a later one."""
         signals = self._signals
+        state = self._scheduler.state
         rows = self._rows
+        regs = self._regs
         if rows is None:
             rows = [(s.now, s.pre, s.nowval, s.preval, s.emitted) for s in signals]
+            regs = [1 if value else 0 for value in state]
             if not self._sparse:
-                return rows
+                return rows, regs
             self._rows = rows
+            self._regs = regs
         else:
             for slot in self._recapture:
                 s = signals[slot]
                 rows[slot] = (s.now, s.pre, s.nowval, s.preval, s.emitted)
+            for slot in self._relatch:
+                regs[slot] = 1 if state[slot] else 0
         self._recapture = set()
-        return list(rows)
+        self._relatch = set()
+        return list(rows), list(regs)
 
     def state_digest(self) -> str:
         """The checksum :meth:`snapshot` would seal the current state
@@ -1060,7 +1079,7 @@ class ReactiveMachine:
         instants; a word-resident member is always demoted before it is
         captured): a slot is present iff its signal is, and active iff
         its signal is not inert, i.e. needs ``begin_instant`` at the next
-        instant.  The next capture builds every signal row afresh.  The
+        instant.  The next capture builds every row afresh.  The
         per-instant paths keep the sets current incrementally instead."""
         present: set = set()
         active: set = set()

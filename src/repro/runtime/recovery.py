@@ -398,10 +398,6 @@ class FleetSupervisor:
     def revive(self, index: int) -> None:
         self.members[index].revive()
 
-    def checkpoint_all(self) -> None:
-        for supervisor in self.members:
-            supervisor.checkpoint()
-
     def recover(
         self, index: int, machine: Optional[ReactiveMachine] = None
     ) -> ReactiveMachine:

@@ -81,8 +81,5 @@ class Token:
             return False
         return value is None or self.value == value
 
-    def is_keyword(self, value: str) -> bool:
-        return self.kind == NAME and self.value == value and value in KEYWORDS
-
     def __repr__(self) -> str:
         return f"Token({self.kind}, {self.value!r}, {self.loc})"

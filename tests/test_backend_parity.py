@@ -17,6 +17,7 @@ program drives sparse reactions into the tail-scan bailout, the one
 bound on a sparse reaction's cost.
 """
 
+import random
 from unittest import mock
 
 import pytest
@@ -37,6 +38,7 @@ from repro.apps.pillbox import PillboxApp
 from repro.apps.skini import Audience, Performance, make_paper_score
 from repro.compiler import plan as plan_mod
 from repro.host import AuthService, SimulatedLoop
+from repro.lang.expr import EvalError
 from repro.runtime.fastsched import SPARSE_BAILOUT_FRACTION, PlanScheduler
 from tests.strategies import input_traces, pure_modules
 
@@ -301,6 +303,122 @@ class TestSparseBailout:
             expected = _observe_step(reference, reference.react(inputs))
             assert _observe_step(machine, supervisor.react(inputs)) == expected
         assert machine.state_digest() == reference.state_digest()
+
+
+def _assert_twin_agrees(machine, twin, rng, steps=20):
+    """Drive ``machine`` and its levelized ``twin`` through the same
+    seeded steps: result for result, digest for digest."""
+    for _ in range(steps):
+        inputs = {name: True for name in ("I", "J") if rng.random() < 0.5}
+        expected = _observe_step(twin, twin.react(inputs))
+        assert _observe_step(machine, machine.react(inputs)) == expected
+        assert machine.state_digest() == twin.state_digest()
+
+
+#: a pure program whose ``check`` payload sits in the middle of the cone
+#: ``I`` dirties: the hot emission of ``F`` ranks after it, and ``J``
+#: emits the valued ``C`` ahead of it for the first time
+CONE_SOURCE = """
+module Cone(in I = 0, in J, out A = 0, out B = 0, out C = 0, out D, out E, out F = 0) {
+  loop {
+    if (J.now) { emit C(7) }
+    if (I.now) {
+      emit A(I.nowval + 1);
+      fork {
+        if (check(A.nowval)) { emit B(A.nowval * 2); emit D } else { emit E }
+      } par {
+        emit F(A.nowval + 1)
+      }
+    }
+    yield
+  }
+}
+"""
+
+
+class TestSparseLoopPins:
+    """The rank-queue loop keeps what the dirty-cone evaluator
+    promises: no net is left out of later reactions after the loop
+    stops early, and nets are evaluated in straight-line rank order."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_payload_raising_mid_cone_leaves_no_net_out(self, seed):
+        queued_at_raise = []
+
+        def check(value):
+            if value == 14:
+                queued_at_raise.append(sum(machine._scheduler._queued))
+                raise RuntimeError("check refused 13")
+            return value % 3 != 0
+
+        module = parse_module(CONE_SOURCE)
+        host = {"check": check}
+        machine = ReactiveMachine(module, host_globals=host, backend="sparse")
+        twin = ReactiveMachine(module, host_globals=host, backend="levelized")
+        assert machine._scheduler.sparse
+        rng = random.Random(seed)
+        for value in (1, 2, 2, 5):
+            expected = _observe_step(twin, twin.react({"I": value}))
+            assert _observe_step(machine, machine.react({"I": value})) == expected
+        for subject in (twin, machine):
+            with pytest.raises(EvalError, match="check refused 13"):
+                subject.react({"I": 13, "J": True})
+        # the sparse raise came from inside the heap loop, with nets
+        # still queued behind the raising payload
+        assert queued_at_raise[-1] > 0
+        assert not any(machine._scheduler._queued)
+        assert machine.state_digest() == twin.state_digest()
+        _assert_twin_agrees(machine, twin, rng)
+        assert machine._scheduler.sparse_reactions >= 15
+
+    def test_budget_abort_in_heap_loop_leaves_no_net_out(self, monkeypatch):
+        scans = []
+        tail_scan = PlanScheduler._tail_scan
+
+        def spy(self, *args):
+            scans.append(args[0])
+            return tail_scan(self, *args)
+
+        monkeypatch.setattr(PlanScheduler, "_tail_scan", spy)
+        module = parse_module(_wide_source())
+        machine = ReactiveMachine(module, backend="sparse")
+        supervisor = MachineSupervisor(machine, max_retries=0)
+        for _ in range(3):
+            supervisor.react({})
+        before = machine.snapshot()
+        budget = 10
+        assert budget < machine._scheduler._bail_limit
+        with pytest.raises(ReactionBudgetExceeded, match="10-net evaluation budget") as exc:
+            supervisor.react({"I": True}, budget=budget)
+        assert exc.value.evaluated == budget
+        assert not scans
+        assert not any(machine._scheduler._queued)
+        assert supervisor.stats["rollbacks"] == 1
+        twin = ReactiveMachine(module, backend="levelized")
+        twin.restore(before)
+        assert machine.state_digest() == twin.state_digest()
+        _assert_twin_agrees(machine, twin, random.Random(7))
+        assert machine._scheduler.sparse_reactions >= 15
+
+    @settings(**_SETTINGS)
+    @given(pure_modules(), input_traces())
+    def test_sparse_reactions_evaluate_in_rank_order(self, module, trace):
+        """Payload effects depend on the straight-line order, so every
+        sparse reaction evaluates its nets in ascending ``plan.rank``,
+        each at most once."""
+        machine = ReactiveMachine(module, backend="sparse")
+        scheduler = machine._scheduler
+        rank = machine.compiled.evaluation_plan().rank
+        for step in (step for step in trace for _ in (0, 1)):
+            try:
+                machine.react({name: True for name in step})
+            except CausalityError:
+                return
+            if scheduler.last_dirty is not None:
+                ranks = [rank[net_id] for net_id in scheduler.last_dirty]
+                assert all(a < b for a, b in zip(ranks, ranks[1:])), ranks
+            if machine.terminated:
+                return
 
 
 ACCOUNTS = {"alice": "secret"}

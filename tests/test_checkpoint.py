@@ -11,6 +11,7 @@ in-memory rollback point), and the bounds of the structures involved.
 """
 
 import json
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -147,6 +148,68 @@ def test_quiet_capture_rebuilds_only_touched_rows():
     # the returned list is the caller's: editing it leaves the next capture alone
     second[0] = None
     assert machine.snapshot()["signals"] == _fresh_rows(machine)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_reused_registers_equal_a_fresh_capture(seed, monkeypatch):
+    """Seeded sparse traces through a supervisor, with checkpoints,
+    rollbacks (budget aborts and unknown inputs), restores and resets:
+    every capture's register row equals one built from scratch, and no
+    capture shares a list with another, so a later capture never
+    rewrites an earlier rollback point."""
+    captures = []
+    reused = []
+    capture = ReactiveMachine._capture
+
+    def recorded(self):
+        reused.append(self._rows is not None)
+        snap = capture(self)
+        assert snap["registers"] == [1 if v else 0 for v in self._scheduler.state]
+        captures.append((snap, list(snap["registers"]), list(snap["signals"])))
+        return snap
+
+    monkeypatch.setattr(ReactiveMachine, "_capture", recorded)
+    rng = random.Random(seed)
+    machine = _machine()
+
+    def supervise():
+        # a fresh journal: restore and reset move the instant count back
+        return MachineSupervisor(
+            machine, checkpoint_every=3, max_retries=0, quarantine_after=10**6
+        )
+
+    supervisor = supervise()
+    saved = [machine.snapshot()]
+    for _ in range(150):
+        inputs = {name: rng.randrange(10) for name in ("A", "B") if rng.random() < 0.5}
+        if rng.random() < 0.2:
+            inputs["R"] = True
+        roll = rng.random()
+        if roll < 0.7:
+            supervisor.react(inputs)
+        elif roll < 0.8:
+            try:
+                supervisor.react(inputs, budget=rng.randint(1, 8))
+            except ReactionBudgetExceeded:
+                pass
+        elif roll < 0.85:
+            with pytest.raises(MachineError, match="unknown input"):
+                supervisor.react({**inputs, "nope": True})
+        elif roll < 0.9:
+            saved.append(machine.snapshot())
+        elif roll < 0.96:
+            machine.restore(rng.choice(saved))
+            supervisor = supervise()
+        else:
+            machine.reset()
+            supervisor = supervise()
+        assert len(machine._relatch or ()) <= len(machine._scheduler.state)
+    assert sum(reused) >= 10  # captures that patched the kept rows
+    for snap, registers, signals in captures:
+        assert snap["registers"] == registers
+        assert snap["signals"] == signals
+    lists = [id(snap["registers"]) for snap, _, _ in captures]
+    assert len(set(lists)) == len(lists)
 
 
 def test_non_sparse_backends_keep_no_rows():

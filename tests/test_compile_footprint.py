@@ -273,13 +273,11 @@ class TestPieceArtifacts:
 
     def test_single_code_layout_still_hydrates(self, small_pieces, recompiles, monkeypatch):
         """Plans pickled before the split carry one ``__code__``."""
+        getstate = EvalPlan.__getstate__
 
         def single_code(plan):
-            state = {
-                name: getattr(plan, name)
-                for name in plan.__slots__
-                if name not in ("payloads", "pieces", "fn")
-            }
+            state = getstate(plan)
+            del state["__pieces__"]
             namespace = {}
             exec(compile(plan.source, "<plan>", "exec"), namespace)
             state["__code__"] = marshal.dumps(namespace["__plan_react__"].__code__)

@@ -37,7 +37,6 @@ from repro.apps.skini.participant import make_audience_fleet
 from repro.host import CircuitBreaker, SimulatedLoop
 from repro.host.netchaos import ChaosTransport, memory_pipe
 from repro.lang import dsl as hh
-from repro.runtime import wsproto
 from repro.runtime.gateway import LATENCY_WINDOW, _Conn
 from repro.runtime.recovery import FleetSupervisor
 from repro.runtime.wsproto import (
@@ -46,7 +45,6 @@ from repro.runtime.wsproto import (
     OP_CONT,
     OP_PING,
     OP_TEXT,
-    Frame,
     FrameAssembler,
     ProtocolError,
     accept_key,

@@ -44,7 +44,10 @@ CHAOS = dict(
 
 def chaos_client(gw, seed, name):
     rng = random.Random(seed)
-    wrap = lambda endpoint: ChaosTransport(endpoint, rng=rng, **CHAOS)
+
+    def wrap(endpoint):
+        return ChaosTransport(endpoint, rng=rng, **CHAOS)
+
     return GatewayClient(
         gw.local_connector(wrap),
         seed=seed,

@@ -13,7 +13,6 @@ compile must agree with itself across every evaluation backend,
 including the bit-parallel lockstep fleet.
 """
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro import (

@@ -36,7 +36,6 @@ from repro import (
     parse_module,
 )
 from repro.host import CircuitBreaker, LoadGenerator, SimulatedLoop
-from repro.runtime.fleet import FleetIngress
 from repro.runtime.ingress import (
     ADMITTED,
     COALESCED,
