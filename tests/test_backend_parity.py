@@ -304,6 +304,29 @@ class TestSparseBailout:
             assert _observe_step(machine, supervisor.react(inputs)) == expected
         assert machine.state_digest() == reference.state_digest()
 
+    def test_budget_abort_in_heap_loop_leaves_no_net_out(self, tail_scans):
+        """A deadline tripped in the heap loop, before the bailout, leaves
+        no net out of later reactions either."""
+        module = parse_module(_wide_source())
+        machine = ReactiveMachine(module, backend="sparse")
+        supervisor = MachineSupervisor(machine, max_retries=0)
+        for _ in range(3):
+            supervisor.react({})
+        before = machine.snapshot()
+        budget = 10
+        assert budget < machine._scheduler._bail_limit
+        with pytest.raises(ReactionBudgetExceeded, match="10-net evaluation budget") as exc:
+            supervisor.react({"I": True}, budget=budget)
+        assert exc.value.evaluated == budget
+        assert not tail_scans
+        assert not any(machine._scheduler._queued)
+        assert supervisor.stats["rollbacks"] == 1
+        twin = ReactiveMachine(module, backend="levelized")
+        twin.restore(before)
+        assert machine.state_digest() == twin.state_digest()
+        _assert_twin_agrees(machine, twin, random.Random(7))
+        assert machine._scheduler.sparse_reactions >= 15
+
 
 def _assert_twin_agrees(machine, twin, rng, steps=20):
     """Drive ``machine`` and its levelized ``twin`` through the same
@@ -369,35 +392,6 @@ class TestSparseLoopPins:
         assert not any(machine._scheduler._queued)
         assert machine.state_digest() == twin.state_digest()
         _assert_twin_agrees(machine, twin, rng)
-        assert machine._scheduler.sparse_reactions >= 15
-
-    def test_budget_abort_in_heap_loop_leaves_no_net_out(self, monkeypatch):
-        scans = []
-        tail_scan = PlanScheduler._tail_scan
-
-        def spy(self, *args):
-            scans.append(args[0])
-            return tail_scan(self, *args)
-
-        monkeypatch.setattr(PlanScheduler, "_tail_scan", spy)
-        module = parse_module(_wide_source())
-        machine = ReactiveMachine(module, backend="sparse")
-        supervisor = MachineSupervisor(machine, max_retries=0)
-        for _ in range(3):
-            supervisor.react({})
-        before = machine.snapshot()
-        budget = 10
-        assert budget < machine._scheduler._bail_limit
-        with pytest.raises(ReactionBudgetExceeded, match="10-net evaluation budget") as exc:
-            supervisor.react({"I": True}, budget=budget)
-        assert exc.value.evaluated == budget
-        assert not scans
-        assert not any(machine._scheduler._queued)
-        assert supervisor.stats["rollbacks"] == 1
-        twin = ReactiveMachine(module, backend="levelized")
-        twin.restore(before)
-        assert machine.state_digest() == twin.state_digest()
-        _assert_twin_agrees(machine, twin, random.Random(7))
         assert machine._scheduler.sparse_reactions >= 15
 
     @settings(**_SETTINGS)
