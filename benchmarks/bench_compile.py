@@ -1,43 +1,30 @@
-"""C1 — modular sub-circuit compilation, artifact cold-start, and link
-parity.
+"""C1 — plan-artifact cold start and artifact parity.
 
-The seed compiler expands every ``run M(...)`` by inlining — compiling a
-score with N instantiations of one module re-translates M's body N
-times, so compile time is O(N·|M|).  Sub-circuit linking
-(``CompileOptions(link=True)``) compiles M once into a relocatable
-template and stamps a copy per instance.  Three claims are gated here
-and recorded in BENCH_compile.json:
+A restarted process can cold-start from a plan artifact store instead of
+its sources.  Two claims are gated here and recorded in
+BENCH_compile.json, on a score with 64 ``run`` instantiations of one
+2-stage module:
 
-* **link speedup** — compiling a score with 64 instantiations of one
-  module is ≥5× faster with sub-circuit linking than through the inlined
-  seed path on the same workload;
 * **artifact cold-start** — a restarted process loading from the artifact
   store (hydrate the pickled circuit + evaluation plan, first reaction)
   reaches its first reaction ≥10× sooner than one cold-starting from
-  sources (parse, inline compile, plan build, first reaction);
-* **parity** — the linked and inlined compiles are observationally
-  identical: same trace and same state digest over a driven run.
-
-Link-template cache hit rates ride along for the report.
+  sources (parse, compile, plan build, first reaction);
+* **parity** — a machine hydrated from the store is observationally
+  identical to one built from the direct compile: same trace and same
+  state digest over a driven run.
 """
 
 import gc
 import time
 
 import harness
-from repro import CompileOptions, ReactiveMachine, clear_compile_cache, compile_module
-from repro.compiler.compile import (
-    ArtifactStore,
-    clear_hydrate_cache,
-    plan_artifact,
-)
-from repro.compiler.link import clear_link_cache, link_cache_stats
+from repro import ReactiveMachine, clear_compile_cache, compile_module
+from repro.compiler.compile import ArtifactStore, clear_hydrate_cache
 from repro.syntax.parser import parse_program
 from workloads import modular_score, modular_score_source
 
 INSTANCES = 64
 STAGES = 2
-LINK_GATE = 5.0
 COLD_START_GATE = 10.0
 ROUNDS = 5
 DRIVE_INSTANTS = 24
@@ -45,29 +32,7 @@ DRIVE_INSTANTS = 24
 
 def _clear_all_caches():
     clear_compile_cache()
-    clear_link_cache()
     clear_hydrate_cache()
-
-
-def best_compile_ms(entry, table, options, rounds=ROUNDS):
-    # process_time: the compile is pure CPU, and the gate should measure
-    # the compiler, not whatever else the CI host is running.  GC is off
-    # inside the timed region — a generational collection over the test
-    # session's whole heap can quadruple a 50 ms compile.
-    best = None
-    compiled = None
-    for _ in range(rounds):
-        _clear_all_caches()
-        gc.collect()
-        gc.disable()
-        try:
-            start = time.process_time()
-            compiled = compile_module(entry, table, options)
-            elapsed = (time.process_time() - start) * 1000.0
-        finally:
-            gc.enable()
-        best = elapsed if best is None else min(best, elapsed)
-    return best, compiled
 
 
 def _drive(machine, instants=DRIVE_INSTANTS):
@@ -82,57 +47,6 @@ def _drive(machine, instants=DRIVE_INSTANTS):
     return trace
 
 
-def test_link_speedup():
-    """64 instantiations of one module: linked vs inlined compile."""
-    entry, table = modular_score(INSTANCES, STAGES)
-
-    inline_ms, inline_compiled = best_compile_ms(
-        entry, table, CompileOptions()
-    )
-    link_ms, link_compiled = best_compile_ms(
-        entry, table, CompileOptions(link=True)
-    )
-    speedup = inline_ms / link_ms
-
-    # per-template work happened exactly once per compile
-    _clear_all_caches()
-    compile_module(entry, table, CompileOptions(link=True))
-    stats = link_cache_stats()
-
-    harness.write(
-        "compile", "link",
-        {
-            "instances": INSTANCES,
-            "stages": STAGES,
-            "inline_ms": round(inline_ms, 2),
-            "link_ms": round(link_ms, 2),
-            "speedup": round(speedup, 2),
-            "inline_nets": len(inline_compiled.circuit.nets),
-            "link_nets": len(link_compiled.circuit.nets),
-            "segments": len(link_compiled.circuit.segments),
-        },
-    )
-    harness.write(
-        "compile", "link_cache",
-        {
-            "hits": stats["hits"],
-            "misses": stats["misses"],
-            "entries": stats["entries"],
-            "hit_rate": round(
-                stats["hits"] / max(1, stats["hits"] + stats["misses"]), 4
-            ),
-        },
-    )
-    assert stats["misses"] == 1 and stats["hits"] == INSTANCES - 1, (
-        f"expected one template build and {INSTANCES - 1} cache hits, "
-        f"got {stats}"
-    )
-    assert speedup >= LINK_GATE, (
-        f"linked compile only {speedup:.2f}x faster than inlined "
-        f"(inline {inline_ms:.1f} ms, link {link_ms:.1f} ms)"
-    )
-
-
 def test_cold_start_from_artifact_store(tmp_path):
     """Process restart: artifact store vs sources, both measured to the
     first reaction."""
@@ -140,7 +54,7 @@ def test_cold_start_from_artifact_store(tmp_path):
     entry, table = modular_score(INSTANCES, STAGES)
 
     store = ArtifactStore(str(tmp_path / "artifacts"))
-    fingerprint = store.put(entry, table, CompileOptions(link=True))
+    fingerprint = store.put(entry, table)
 
     def _timed(work):
         _clear_all_caches()
@@ -156,9 +70,7 @@ def test_cold_start_from_artifact_store(tmp_path):
     def cold_fresh():
         def work():
             fresh_table = parse_program(source)
-            compiled = compile_module(
-                fresh_table.get("Score"), fresh_table, CompileOptions()
-            )
+            compiled = compile_module(fresh_table.get("Score"), fresh_table)
             ReactiveMachine(compiled).react({"T": True})
 
         return _timed(work)
@@ -192,39 +104,36 @@ def test_cold_start_from_artifact_store(tmp_path):
     )
 
 
-def test_linked_inlined_parity_smoke(tmp_path):
-    """Trace and state-digest parity: inlined seed compile vs linked
-    compile vs a machine hydrated from the artifact store."""
+def test_artifact_parity_smoke(tmp_path):
+    """Trace and state-digest parity: the direct compile vs a machine
+    hydrated from the artifact store."""
     entry, table = modular_score(INSTANCES, STAGES)
 
     _clear_all_caches()
-    inlined = compile_module(entry, table, CompileOptions())
-    linked = compile_module(entry, table, CompileOptions(link=True))
+    compiled = compile_module(entry, table)
     store = ArtifactStore(str(tmp_path / "artifacts"))
-    fingerprint = store.put(entry, table, CompileOptions(link=True))
+    fingerprint = store.put(entry, table)
     clear_hydrate_cache()
     hydrated = store.load(fingerprint)
 
     machines = {
-        "inlined": ReactiveMachine(inlined),
-        "linked": ReactiveMachine(linked),
+        "compiled": ReactiveMachine(compiled),
         "hydrated": ReactiveMachine(hydrated),
     }
     traces = {name: _drive(machine) for name, machine in machines.items()}
-    assert traces["linked"] == traces["inlined"], "linked trace diverged"
-    assert traces["hydrated"] == traces["inlined"], "hydrated trace diverged"
+    assert traces["hydrated"] == traces["compiled"], "hydrated trace diverged"
 
     digests = {
         name: machine.state_digest() for name, machine in machines.items()
     }
-    assert digests["linked"] == digests["hydrated"], (
-        "hydrated machine state diverged from the linked compile"
+    assert digests["hydrated"] == digests["compiled"], (
+        "hydrated machine state diverged from the direct compile"
     )
     harness.write(
         "compile", "parity",
         {
             "instants": DRIVE_INSTANTS,
             "trace_equal": True,
-            "digest_equal": digests["linked"] == digests["hydrated"],
+            "digest_equal": True,
         },
     )

@@ -149,37 +149,25 @@ def e6():
 
 
 def c1():
-    print("\nC1 - modular sub-circuit compilation (link, cold-start, parity)")
+    print("\nC1 - plan-artifact cold start and artifact parity")
     import tempfile
 
     import bench_compile
 
-    bench_compile.test_link_speedup()
     with tempfile.TemporaryDirectory() as tmp:
         bench_compile.test_cold_start_from_artifact_store(Path(tmp))
     with tempfile.TemporaryDirectory() as tmp:
-        bench_compile.test_linked_inlined_parity_smoke(Path(tmp))
+        bench_compile.test_artifact_parity_smoke(Path(tmp))
     data = harness.read("compile")
-    link, cache, cold = data["link"], data["link_cache"], data["cold_start"]
-    print(f"  link: {link['instances']} instances x {link['stages']} stages: "
-          f"inline {link['inline_ms']:.1f} ms -> linked {link['link_ms']:.1f} "
-          f"ms ({link['speedup']:.1f}x, gate 5x)")
-    print(f"  template cache: {cache['hits']} hits / {cache['misses']} miss "
-          f"({100 * cache['hit_rate']:.1f}% hit rate)")
-    print(f"  cold start to first reaction: sources {cold['fresh_ms']:.1f} ms "
+    cold, parity = data["cold_start"], data["parity"]
+    print(f"  {cold['instances']} run instances x {cold['stages']} stages, "
+          f"cold start to first reaction: sources {cold['fresh_ms']:.1f} ms "
           f"-> artifact store {cold['store_ms']:.1f} ms "
           f"({cold['speedup']:.1f}x, gate 10x); "
           f"artifact {cold['artifact_kib']:.0f} KiB")
-    parity = data.get("parity", {})
-    if parity:
-        print(f"  parity over {parity['instants']} instants: "
-              f"trace_equal={parity['trace_equal']}, "
-              f"digest_equal={parity['digest_equal']}")
-    deep = data.get("deep", {})
-    for row in deep.get("shapes", ()):
-        print(f"  nested runs depth {row['depth']} fanout {row['fanout']} "
-              f"({row['leaves']} leaves): {row['speedup']:.2f}x "
-              f"(reuse-proportional)")
+    print(f"  parity over {parity['instants']} instants: "
+          f"trace_equal={parity['trace_equal']}, "
+          f"digest_equal={parity['digest_equal']}")
 
 
 def f1():

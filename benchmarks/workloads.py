@@ -59,9 +59,8 @@ def modular_score_source(instances: int, stages: int = 2) -> str:
     """A Skini-style score: ``instances`` parallel ``run Worker(...)``
     instantiations of one shared module whose body has ``stages``
     pipeline stages (locals, counted awaits, a trap over a 3-branch
-    fork).  The family where sub-circuit linking pays: the callee is
-    compiled once and stamped per instance, while the inlined seed path
-    re-translates its body at every ``run`` site.
+    fork).  The expander inlines the callee's body at every ``run``
+    site, so the circuit holds one copy per instance.
     """
     stage = """
     signal L1%i, L2%i;
@@ -105,38 +104,6 @@ def modular_score(instances: int, stages: int = 2):
 
     table = parse_program(modular_score_source(instances, stages))
     return table.get("Score"), table
-
-
-def nested_run_source(depth: int, fanout: int = 2) -> str:
-    """A ``depth``-deep chain of modules, each forking ``fanout`` runs of
-    the next one down; the leaf is a 1-stage Worker.  ``fanout**depth``
-    leaf instances from ``depth + 1`` module bodies — the family where
-    sub-circuit linking's per-module (not per-instance) translation cost
-    shows: templates nest, so each level is translated once no matter how
-    many times the levels above instantiate it.
-    """
-    parts = [modular_score_source(1, 1).split("module Score")[0]]
-    prev = "Worker"
-    for level in range(1, depth + 1):
-        branches = [f"    run {prev}(...);"]
-        branches += [
-            f"  }} par {{\n    run {prev}(...);" for _ in range(fanout - 1)
-        ]
-        parts.append(
-            f"module Level{level}(in T, in R, out O, out P) {{\n  fork {{\n"
-            + "\n".join(branches)
-            + "\n  }\n}\n"
-        )
-        prev = f"Level{level}"
-    return "\n".join(parts)
-
-
-def nested_run(depth: int, fanout: int = 2):
-    """Parse the nested-run family; returns ``(entry, table)``."""
-    from repro.syntax.parser import parse_program
-
-    table = parse_program(nested_run_source(depth, fanout))
-    return table.get(f"Level{depth}"), table
 
 
 def and_bool(a, b):

@@ -22,6 +22,7 @@ from repro.lang.validate import validate_module
 from repro.compiler.analysis import cycle_warnings
 from repro.compiler.expand import expand_module
 from repro.compiler.netlist import Circuit
+from repro.compiler.optimize import optimize_circuit
 from repro.compiler.translate import AUTO, translate_module
 
 
@@ -36,22 +37,11 @@ class CompileOptions:
         ``never`` force the choice (ablation A2 of DESIGN.md).
     :param check_cycles: run the static combinational-cycle analysis and
         collect warnings (the paper's compile-time deadlock warning).
-    :param link: compile ``run M(...)`` sites by sub-circuit linking
-        (:mod:`repro.compiler.link`): each linkable module body is
-        translated, optimized and cycle-checked *once* into a cached
-        template, and every instantiation stamps a relocated copy —
-        O(interface + net copy) per site instead of a full re-translate.
-        Modules that defeat linking (recursion, ``var`` parameters, free
-        names, instance frame vars) fall back to inlining.  When linking
-        actually happened, the final circuit gets only a dead-net sweep
-        and cycle warnings come from the templates, not a whole-program
-        re-analysis.
     """
 
     optimize: bool = True
     loop_duplication: str = AUTO
     check_cycles: bool = True
-    link: bool = False
 
 
 @dataclass
@@ -89,8 +79,8 @@ class CompiledModule:
         used to stamp machine snapshots so they refuse to restore onto a
         structurally different program.  Unrenderable modules fall back to
         a circuit-shape digest.  Rendering the whole module table costs a
-        nontrivial slice of a fast (linked) compile, so the digest is
-        deferred until someone actually snapshots, persists, or caches."""
+        nontrivial slice of a compile, so the digest is deferred until
+        someone actually snapshots, persists, or caches."""
         if self._fingerprint is None:
             modules, options = self._fingerprint_inputs or (None, None)
             self._fingerprint = (
@@ -143,32 +133,13 @@ def compile_module(
     cycles are reported as warnings on the result.
     """
     options = options or CompileOptions()
-    link = getattr(options, "link", False)
-    kernel, frame_vars = expand_module(module, modules, link=link)
+    kernel, frame_vars = expand_module(module, modules)
     validate_module(module, kernel)
-    circuit = translate_module(
-        module,
-        kernel,
-        options.loop_duplication,
-        template_options=(options.optimize, options.check_cycles),
-    )
+    circuit = translate_module(module, kernel, options.loop_duplication)
     circuit.frame_vars = list(frame_vars)
-    warnings: List[str] = []
-    if link and circuit.segments:
-        # Linked instances arrive pre-optimized and pre-cycle-checked from
-        # their templates, and linking remaps template port/constant wires
-        # in place of copying them, so the circuit is already debris-free.
-        # Re-running the global passes here would make every instantiation
-        # O(|whole circuit|) again.
-        warnings = list(circuit.link_warnings)
-    else:
-        if options.optimize:
-            from repro.compiler.optimize import optimize_circuit
-
-            circuit = optimize_circuit(circuit)
-        if options.check_cycles:
-            warnings = cycle_warnings(circuit)
-        warnings.extend(circuit.link_warnings)
+    if options.optimize:
+        circuit = optimize_circuit(circuit)
+    warnings = cycle_warnings(circuit) if options.check_cycles else []
     compiled = CompiledModule(module, circuit, list(frame_vars), warnings, kernel)
     compiled._fingerprint_inputs = (modules, options)
     return compiled
@@ -303,9 +274,13 @@ def _structural_key(
     except Exception:
         return None
     options = options or CompileOptions()
+    # The trailing False is the value of a knob that no longer exists
+    # (``run`` once compiled two ways).  Snapshots, journals and
+    # artifact-store keys carry these digests, so the bytes stay as they
+    # were for every program that compiled the default way.
     digest.update(
         f"\x00{options.optimize}\x00{options.loop_duplication}"
-        f"\x00{options.check_cycles}\x00{getattr(options, 'link', False)}".encode()
+        f"\x00{options.check_cycles}\x00False".encode()
     )
     return digest.hexdigest()
 
@@ -362,7 +337,7 @@ def compile_cache_stats() -> Dict[str, int]:
 
 #: version tag of the :func:`plan_artifact` payload layout.  Format 2
 #: embeds the compiled circuit (closure-free; payload closures rebuilt
-#: from relink specs on hydration) and the serialized evaluation plan, so
+#: from payload specs on hydration) and the serialized evaluation plan, so
 #: a new process cold-starts without ever touching the expander/translator.
 #: Format-1 payloads (recompile-on-hydrate) are still readable.
 PLAN_ARTIFACT_FORMAT = 2
@@ -462,7 +437,7 @@ def hydrate_plan_artifact(data: bytes) -> CompiledModule:
 
     Format-2 payloads carry the compiled circuit and evaluation plan:
     hydration deserializes, rebuilds the payload closures from their
-    relink specs and re-attaches the plan — the expander/translator/
+    payload specs and re-attaches the plan — the expander/translator/
     optimizer never run (the artifact cold-start path).  Format-1 (and
     format-2 payloads whose compiled form could not be pickled) recompile
     from the shipped AST through the structural compile cache and verify

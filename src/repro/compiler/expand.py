@@ -1,4 +1,4 @@
-"""Macro expansion and module linking (lowering to the kernel language).
+"""Macro expansion and ``run`` inlining (lowering to the kernel language).
 
 Surface constructs are rewritten into the kernel subset understood by the
 circuit translator:
@@ -9,8 +9,9 @@ circuit translator:
 * ``every (d) { p }``      → ``await d; loop { abort (d') { p; halt } }``
 * ``do { p } every (d)``   → ``loop { abort (d') { p; halt } }``
 * ``weakabort (d) { p }``  → ``trap T { {p; break T} par {await d; break T} }``
-* ``run M(...)``           → inline M's body with signal renaming and
-                             alpha-renamed ``var`` parameters
+* ``run M(...)``           → M's body with signal renaming and
+                             alpha-renamed ``var`` parameters, wrapped in
+                             an ``Instance`` marker for its state segment
 
 where ``d'`` is ``d`` stripped of its ``immediate`` flag (restarts test
 their guard only at instants strictly after the restart, paper section 3).
@@ -37,6 +38,22 @@ def _delayed(delay: A.Delay) -> A.Delay:
     return A.Delay(delay.expr, False, delay.count, delay.loc)
 
 
+def _spliced(item: A.Stmt) -> A.Stmt:
+    """A sequence item.  An instance whose body, under any nested
+    instance markers, is itself a sequence comes back marked
+    ``spliced``: the translator takes the body's items as items of this
+    sequence, as if the body were flattened into it like any nested
+    sequence, so the marker adds no gate."""
+    if not isinstance(item, A.Instance) or item.spliced:
+        return item
+    body = item.body
+    while isinstance(body, A.Instance):
+        body = body.body
+    if not isinstance(body, A.Seq):
+        return item
+    return A.Instance(item.module, item.body, item.loc, spliced=True)
+
+
 class Expander:
     """Stateful expander: resolves ``run`` against a module table and
     guards against recursive instantiation.
@@ -45,27 +62,15 @@ class Expander:
     the same program produce byte-identical expansions (and therefore
     byte-identical plan artifacts); they were once module globals, which
     made label/frame names depend on process history.
-
-    With ``link=True``, ``run M(...)`` lowers to an
-    :class:`~repro.lang.ast.LinkedRun` node (sub-circuit linking at
-    translation time) whenever the callee qualifies; anything that
-    defeats linking — ``var`` parameters, free trap labels or signal
-    names, frame variables introduced by nested inlining, or a body that
-    would fail validation in its own scope — falls back to today's
-    inlining so behaviour is identical either way.
     """
 
-    def __init__(self, modules: Optional[A.ModuleTable] = None, link: bool = False):
+    def __init__(self, modules: Optional[A.ModuleTable] = None):
         self.modules = modules if modules is not None else A.ModuleTable()
-        self.link = link
         self._run_stack: List[str] = []
         #: (frame_name, init Expr|None) pairs for alpha-renamed module vars
         self.frame_vars: List[Tuple[str, Optional[E.Expr]]] = []
         self._labels = itertools.count()
         self._frames = itertools.count()
-        #: link-facts cache: id(module) -> (module, body, codes, sensitive,
-        #: emitted) or (module, None) when the module defeats linking
-        self._link_facts: dict = {}
 
     def _fresh_label(self, prefix: str) -> str:
         return f"${prefix}{next(self._labels)}"
@@ -106,8 +111,10 @@ class Expander:
     def _expand_exec(self, stmt: A.Exec) -> A.Stmt:
         return stmt
 
-    def _expand_linkedrun(self, stmt: "A.LinkedRun") -> A.Stmt:
-        return stmt
+    def _expand_instance(self, stmt: A.Instance) -> A.Stmt:
+        return A.Instance(
+            stmt.module, self.expand(stmt.body), stmt.loc, stmt.spliced
+        )
 
     def _expand_seq(self, stmt: A.Seq) -> A.Stmt:
         items = [self.expand(s) for s in stmt.items]
@@ -121,7 +128,7 @@ class Expander:
             return A.Nothing(stmt.loc)
         if len(flat) == 1:
             return flat[0]
-        return A.Seq(flat, stmt.loc)
+        return A.Seq([_spliced(item) for item in flat], stmt.loc)
 
     def _expand_par(self, stmt: A.Par) -> A.Stmt:
         branches = [self.expand(b) for b in stmt.branches]
@@ -208,7 +215,7 @@ class Expander:
             stmt.loc,
         )
 
-    # -- linking --------------------------------------------------------------
+    # -- run instantiation -----------------------------------------------------
 
     def _resolve_module(self, run: A.Run) -> A.Module:
         if isinstance(run.module, A.Module):
@@ -261,14 +268,6 @@ class Expander:
                 f"run {module.name}: unknown var parameter(s) {sorted(unknown)}"
             )
 
-        if self.link and not module.variables and not run.var_args:
-            facts = self._linkable_facts(module)
-            if facts is not None:
-                body, codes, sensitive, emitted = facts
-                return A.LinkedRun(
-                    module, mapping, body, codes, sensitive, emitted, run.loc
-                )
-
         instance = next(self._frames)
         var_map = {v.name: f"{v.name}@{module.name}#{instance}" for v in module.variables}
 
@@ -290,179 +289,21 @@ class Expander:
             self._run_stack.pop()
 
         if assigns:
-            return A.Seq([A.Atom(assigns, run.loc), expanded], run.loc)
-        return expanded
-
-    # -- linkability ---------------------------------------------------------
-
-    def _linkable_facts(self, module: A.Module):
-        """Expand ``module``'s body once (callee-side names) and decide
-        whether it qualifies for sub-circuit linking.
-
-        Returns ``(body, instant_codes, sensitive, emitted)`` or ``None``
-        when the module defeats linking; in the latter case the caller
-        falls back to inlining, where validation reports any problem with
-        its canonical message.  Cached per module object.
-        """
-        cached = self._link_facts.get(id(module))
-        if cached is not None and cached[0] is module:
-            return cached[1]
-
-        frame_mark = len(self.frame_vars)
-        self._run_stack.append(module.name)
-        try:
-            body = self.expand(module.body)
-        except LinkError:
-            raise
-        finally:
-            self._run_stack.pop()
-
-        facts = None
-        if len(self.frame_vars) == frame_mark:
-            # no nested inlining introduced per-instance frame slots the
-            # template would otherwise share across instantiations
-            facts = _analyze_linked_body(module, body)
-        else:
-            del self.frame_vars[frame_mark:]
-        self._link_facts[id(module)] = (module, facts)
-        return facts
-
-
-def _analyze_linked_body(module: A.Module, body: A.Stmt):
-    """Scope-aware walk of an expanded callee body.
-
-    Computes the facts a :class:`~repro.lang.ast.LinkedRun` carries —
-    instant completion codes, incarnation sensitivity, emitted interface
-    names — and rejects (returns ``None``) anything whose behaviour under
-    linking could differ from inlining or whose validation needs the
-    caller's scope: free signal names, free trap labels, or emission of a
-    locally-declared pure input.
-    """
-    from repro.lang.validate import TERMINATE, instant_codes
-    from repro.lang.signals import IN
-
-    iface = {d.name for d in module.interface}
-    emitted: set = set()
-    state = {"sensitive": False, "ok": True}
-
-    def refer(name: str, locals_: dict) -> None:
-        if name not in locals_ and name not in iface:
-            state["ok"] = False
-
-    def refer_expr(expr, locals_: dict) -> None:
-        for name, _kind in expr.signal_deps():
-            refer(name, locals_)
-
-    def emit(name: str, locals_: dict) -> None:
-        decl = locals_.get(name)
-        if decl is not None:
-            if decl.direction == IN:
-                state["ok"] = False  # inlining would reject this too
-            return
-        if name in iface:
-            emitted.add(name)
-        else:
-            state["ok"] = False
-
-    def walk(stmt: A.Stmt, locals_: dict, traps: tuple) -> None:
-        if not state["ok"]:
-            return
-        if isinstance(stmt, (A.Nothing, A.Pause)):
-            return
-        if isinstance(stmt, A.Emit):
-            emit(stmt.signal, locals_)
-            if stmt.value is not None:
-                refer_expr(stmt.value, locals_)
-            return
-        if isinstance(stmt, A.Atom):
-            for host in stmt.body:
-                for expr in host.exprs():
-                    refer_expr(expr, locals_)
-            return
-        if isinstance(stmt, A.Seq):
-            for item in stmt.items:
-                walk(item, locals_, traps)
-            return
-        if isinstance(stmt, A.Par):
-            for branch in stmt.branches:
-                walk(branch, locals_, traps)
-            return
-        if isinstance(stmt, A.Loop):
-            if TERMINATE in instant_codes(stmt.body):
-                state["ok"] = False  # let inlining raise the canonical error
-                return
-            walk(stmt.body, locals_, traps)
-            return
-        if isinstance(stmt, A.If):
-            refer_expr(stmt.test, locals_)
-            walk(stmt.then, locals_, traps)
-            walk(stmt.orelse, locals_, traps)
-            return
-        if isinstance(stmt, (A.Abort, A.Suspend)):
-            refer_expr(stmt.delay.expr, locals_)
-            if stmt.delay.count is not None:
-                refer_expr(stmt.delay.count, locals_)
-                state["sensitive"] = True
-            walk(stmt.body, locals_, traps)
-            return
-        if isinstance(stmt, A.Trap):
-            walk(stmt.body, locals_, traps + (stmt.label,))
-            return
-        if isinstance(stmt, A.Break):
-            if stmt.label not in traps:
-                state["ok"] = False  # free label would capture a caller trap
-            return
-        if isinstance(stmt, A.Local):
-            state["sensitive"] = True
-            for decl in stmt.decls:
-                if decl.init is not None:
-                    refer_expr(decl.init, locals_)
-            inner = dict(locals_)
-            for decl in stmt.decls:
-                inner[decl.name] = decl
-            walk(stmt.body, inner, traps)
-            return
-        if isinstance(stmt, A.Exec):
-            state["sensitive"] = True
-            if stmt.signal is not None:
-                emit(stmt.signal, locals_)
-            for expr in stmt.exprs():
-                refer_expr(expr, locals_)
-            return
-        if isinstance(stmt, A.LinkedRun):
-            if stmt.sensitive:
-                state["sensitive"] = True
-            for n_iface, bound in stmt.bindings.items():
-                if n_iface in stmt.emitted:
-                    emit(bound, locals_)
-                else:
-                    refer(bound, locals_)
-            return
-        # anything unrecognized: be safe, fall back to inlining
-        state["ok"] = False
-
-    walk(body, {}, ())
-    if not state["ok"]:
-        return None
-    codes = instant_codes(body)
-    if any(code != TERMINATE for code in codes):
-        return None  # free trap escape survived (defensive; Break check covers it)
-    return (body, codes, state["sensitive"], frozenset(emitted))
+            expanded = A.Seq([A.Atom(assigns, run.loc), expanded], run.loc)
+        return A.Instance(module.name, expanded, run.loc)
 
 
 def expand_module(
     module: A.Module,
     modules: Optional[A.ModuleTable] = None,
-    link: bool = False,
 ) -> Tuple[A.Stmt, List[Tuple[str, Optional[E.Expr]]]]:
     """Expand ``module`` to kernel form.
 
     Returns the kernel body and the list of frame variables (name, init)
     accumulated from ``var`` declarations of the module and all inlined
-    instances.  With ``link=True``, eligible ``run`` statements lower to
-    :class:`~repro.lang.ast.LinkedRun` nodes for sub-circuit linking.
+    instances.
     """
-    expander = Expander(modules, link=link)
+    expander = Expander(modules)
     body = expander.expand_module(module)
     return body, expander.frame_vars
 

@@ -84,13 +84,12 @@ class Net:
         #: payload calls; ``None`` for custom closures (counted delays,
         #: emit/atom/exec actions)
         self.expr_info: Optional[tuple] = None
-        #: for EXPR/ACTION nets: the *relink spec* behind ``payload`` — a
+        #: for EXPR/ACTION nets: the *payload spec* behind ``payload`` — a
         #: plain data tuple (kind, exprs/host statements, scope snapshot,
         #: slot numbers) from which :func:`repro.compiler.translate.build_payload`
-        #: rebuilds the closure.  Specs make payload nets relocatable
-        #: (sub-circuit linking remaps the slots and rebuilds the closure)
-        #: and make circuits picklable (plan artifacts drop the closure
-        #: and rebuild it on hydration).  ``None`` for non-payload nets.
+        #: rebuilds the closure.  Specs make circuits picklable (plan
+        #: artifacts drop the closure and rebuild it on hydration).
+        #: ``None`` for non-payload nets.
         self.spec: Optional[tuple] = None
 
     def __getstate__(self) -> tuple:
@@ -205,15 +204,19 @@ class CounterInfo:
 
 
 class StateSegment:
-    """One linked module instance's share of a circuit's sequential state.
+    """One ``run`` instance's share of a circuit's sequential state: the
+    registers, local signals, counters and execs its body creates, less
+    those of the instances nested in it.
 
-    ``path`` is the instance path (``/M#0``, nested ``/M#0/N#1``); the
-    spine (state owned by the top-level module body) is the implicit
-    remainder.  Registers are recorded as Net *objects* (ids may be
-    renumbered by the final sweep); signals/counters/execs as slot
-    numbers.  Versioned state migration keys state by
+    ``path`` is the instance path (``/M#0``, nested ``/M#0/N#1``): ``k``
+    numbers the instances of ``M`` within the enclosing instance, and a
+    loop body translated twice gets a path per copy.  The spine (state
+    owned by the top-level module body) is the implicit remainder.
+    Registers are recorded as Net *objects* (the optimizer's sweep
+    renumbers them, and drops swept ones here); signals/counters/execs
+    as slot numbers.  Versioned state migration keys state by
     ``(segment path, stable label, occurrence)`` so program edits inside
-    one module do not shift every other module's keys.
+    one instance do not shift every other instance's keys.
     """
 
     __slots__ = ("path", "module", "registers", "signal_slots",
@@ -256,18 +259,10 @@ class Circuit:
         #: module `var` parameters and `let` variables with initializers:
         #: list of (frame_name, init Expr or None)
         self.frame_vars: List[Tuple[str, Any]] = []
-        #: nets the optimizer must neither alias nor sweep beyond the
-        #: always-protected tables (template ports and root wires of
-        #: sub-circuit templates; see :mod:`repro.compiler.link`)
-        self.extra_protected: List[Net] = []
-        #: state segments recorded at sub-circuit link sites: each entry
-        #: maps a linked module instance (path like ``/M#0``) to the
-        #: registers / signal / counter / exec slots it owns, giving
-        #: versioned state migration stable per-module keys (see
-        #: :mod:`repro.runtime.migrate`)
-        self.segments: List[Any] = []
-        #: causality warnings aggregated from linked sub-circuit templates
-        self.link_warnings: List[str] = []
+        #: one :class:`StateSegment` per ``run`` instance, outer before
+        #: inner, giving versioned state migration stable per-instance
+        #: keys (see :mod:`repro.runtime.migrate`)
+        self.segments: List[StateSegment] = []
         self._const0: Optional[Net] = None
         self._const1: Optional[Net] = None
 

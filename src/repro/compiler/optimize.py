@@ -36,8 +36,6 @@ def _protected_ids(circuit: Circuit) -> Set[int]:
         net = getattr(circuit, attr)
         if net is not None:
             protected.add(net.id)
-    for net in getattr(circuit, "extra_protected", ()):
-        protected.add(net.id)
     for info in circuit.signals:
         if info.status_net is not None:
             protected.add(info.status_net.id)
@@ -206,18 +204,6 @@ def optimize_circuit(circuit: Circuit) -> Circuit:
     return circuit
 
 
-def compact_circuit(circuit: Circuit) -> Circuit:
-    """Run only the dead-net sweep (drop unreachable nets, renumber ids).
-
-    The sub-circuit link path uses this instead of :func:`optimize_circuit`:
-    templates are already optimized once at template build, so the final
-    linked circuit only needs the debris (template port copies, constant
-    duplicates) swept — keeping link cost O(circuit), not O(rounds ×
-    circuit)."""
-    _compact(circuit)
-    return circuit
-
-
 def _compact(circuit: Circuit) -> None:
     """Drop dead nets and renumber."""
     const0 = circuit.const0().id
@@ -252,6 +238,8 @@ def _compact(circuit: Circuit) -> None:
         if net.id in live:
             remap[net.id] = len(survivors)
             survivors.append(net)
+    for segment in circuit.segments:
+        segment.registers = [reg for reg in segment.registers if reg.id in live]
     for net in survivors:
         net.inputs = [(remap[src], neg) for src, neg in net.inputs]
         net.deps = [remap[d] for d in net.deps if d in remap]

@@ -192,7 +192,7 @@ class EvalPlan:
         multi-thousand line straight-line source dominates cold-start
         otherwise), from ``source`` when it does not — and ``payloads``
         by :meth:`rebind` once the carrying circuit's payload closures
-        have been rebuilt from their relink specs.  The list tables go
+        have been rebuilt from their payload specs.  The list tables go
         out as the arrays they were built from, fanout ranks as the
         consumers' ids, and the derived tables not at all."""
         state = {

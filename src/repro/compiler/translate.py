@@ -30,7 +30,7 @@ from repro.errors import CompileError
 from repro.lang import ast as A
 from repro.lang import expr as E
 from repro.lang.signals import SignalDecl
-from repro.compiler.netlist import Circuit, Literal, Net, SignalInfo, lit
+from repro.compiler.netlist import Circuit, Literal, Net, SignalInfo, StateSegment, lit
 
 AUTO = "auto"
 ALWAYS = "always"
@@ -63,18 +63,15 @@ def _neg(literal: Literal) -> Literal:
 
 
 # ---------------------------------------------------------------------------
-# relink specs → payload closures
+# payload specs → payload closures
 # ---------------------------------------------------------------------------
 #
 # Every EXPR/ACTION net's payload closure is described by a plain data
 # *spec* tuple stored on ``net.spec``: (kind, exprs/host statements, scope
 # snapshot {name: slot}, slot numbers).  The closure is always built from
-# the spec by :func:`build_payload`, so that
-#
-# * sub-circuit linking (:mod:`repro.compiler.link`) can relocate a
-#   template net by remapping the slots in the spec and rebuilding;
-# * plan artifacts can pickle circuits closure-free and rebuild payloads
-#   on hydration (:func:`repro.compiler.compile.hydrate_plan_artifact`).
+# the spec by :func:`build_payload`, so plan artifacts can pickle circuits
+# closure-free and rebuild payloads on hydration
+# (:func:`repro.compiler.compile.hydrate_plan_artifact`).
 
 
 def build_payload(spec: tuple) -> Callable[[Any], Any]:
@@ -174,16 +171,11 @@ def rebuild_payloads(circuit: Circuit) -> Circuit:
 class Translator:
     """Builds the circuit for one expanded module body."""
 
-    def __init__(self, circuit: Circuit, loop_duplication: str = AUTO,
-                 template_options: Optional[tuple] = None):
+    def __init__(self, circuit: Circuit, loop_duplication: str = AUTO):
         if loop_duplication not in (AUTO, ALWAYS, NEVER):
             raise ValueError(f"bad loop duplication policy {loop_duplication!r}")
         self.circ = circuit
         self.loop_duplication = loop_duplication
-        #: (optimize, check_cycles) flags for sub-circuit template builds
-        #: triggered by ``LinkedRun`` nodes; ``None`` means default (True,
-        #: True)
-        self.template_options = template_options
         #: lexical signal scope: source name -> SignalInfo
         self.sigmap: Dict[str, SignalInfo] = {}
         #: the scope's {name: slot} table, shared by every payload spec
@@ -196,10 +188,12 @@ class Translator:
         self._pending_reads: List[Tuple[Net, SignalInfo, bool]] = []
         #: exec incarnations per AST node uid: (start_action, kill_action)
         self._exec_incarnations: Dict[int, List[Tuple[Net, Optional[Net]]]] = {}
-        #: per-module-name sequence numbers for linked instance paths
-        self._link_seq: Dict[str, int] = {}
-        #: templates whose warnings were already aggregated into this circuit
-        self._warned_templates: set = set()
+        #: the innermost open instance's state segment (a placeholder,
+        #: never recorded, on the spine), and per-module-name counts of
+        #: the instances opened directly inside it, which number their
+        #: paths
+        self._segment = StateSegment("", "")
+        self._instances: Dict[str, int] = {}
         self.FALSE = lit(self.circ.const0())
         self.TRUE = lit(self.circ.const1())
 
@@ -295,6 +289,7 @@ class Translator:
             return self._expr_net(enable, delay.expr, f"{label}.test", loc)
 
         counter = self.circ.new_counter(loc, _render_arity(delay.count))
+        self._segment.counter_slots.append(counter.slot)
         scope = self._snapshot()
         count_expr = delay.count
         guard_expr = delay.expr
@@ -322,6 +317,53 @@ class Translator:
             info.bound_name = bound_name
         return info
 
+    def _register(self, label: str, loc) -> Net:
+        reg = self.circ.register(label, False, loc)
+        self._segment.registers.append(reg)
+        return reg
+
+    # ------------------------------------------------------------------
+    # instance segments
+    # ------------------------------------------------------------------
+
+    def _enter(self, module: str) -> tuple:
+        """Open the state segment of the next instance of ``module`` in
+        the current one; returns what :meth:`_leave` restores."""
+        seq = self._instances.get(module, 0)
+        self._instances[module] = seq + 1
+        outer = (self._segment, self._instances)
+        self._segment = StateSegment(f"{self._segment.path}/{module}#{seq}", module)
+        self._instances = {}
+        self.circ.segments.append(self._segment)
+        return outer
+
+    def _leave(self, outer: tuple) -> None:
+        self._segment, self._instances = outer
+
+    def _tr_instance(self, stmt: A.Instance, ctx: Ctx) -> Ifc:
+        outer = self._enter(stmt.module)
+        try:
+            return self.translate(stmt.body, ctx)
+        finally:
+            self._leave(outer)
+
+    def _seq_items(self, items: Sequence[A.Stmt]):
+        """A sequence's items, with each spliced instance's body items in
+        its place, translated inside the instance's segment."""
+        for item in items:
+            if isinstance(item, A.Instance) and item.spliced:
+                outer = self._enter(item.module)
+                try:
+                    body = item.body
+                    while isinstance(body, A.Instance):
+                        self._enter(body.module)  # undone with the outermost
+                        body = body.body
+                    yield from self._seq_items(body.items)
+                finally:
+                    self._leave(outer)
+            else:
+                yield item
+
     # ------------------------------------------------------------------
     # statement translation
     # ------------------------------------------------------------------
@@ -336,7 +378,7 @@ class Translator:
         return Ifc(self.FALSE, {0: ctx.go})
 
     def _tr_pause(self, stmt: A.Pause, ctx: Ctx) -> Ifc:
-        reg = self.circ.register("pause", False, stmt.loc)
+        reg = self._register("pause", stmt.loc)
         sel = lit(reg)
         holding = self._or([ctx.go, self._and([ctx.susp, sel], "pause.hold")], "pause.set")
         self.circ.set_register_input(
@@ -375,7 +417,7 @@ class Translator:
         sels: List[Literal] = []
         ks: Dict[int, List[Literal]] = {}
         go = ctx.go
-        for item in stmt.items:
+        for item in self._seq_items(stmt.items):
             ifc = self.translate(item, Ctx(go, ctx.res, ctx.susp, ctx.kill))
             sels.append(ifc.sel)
             for code, wire in ifc.ks.items():
@@ -420,10 +462,6 @@ class Translator:
             if isinstance(node, (A.Local, A.Exec)):
                 return True
             if isinstance(node, (A.Abort, A.Suspend)) and node.delay.count is not None:
-                return True
-            if isinstance(node, A.LinkedRun) and node.sensitive:
-                # the linked body holds incarnation-sensitive state
-                # (locals/counters/execs) even though it is opaque here
                 return True
         return False
 
@@ -553,6 +591,7 @@ class Translator:
         infos: List[SignalInfo] = []
         for decl in stmt.decls:
             info = self.declare_signal(decl)
+            self._segment.signal_slots.append(info.slot)
             infos.append(info)
             if decl.init is not None:
                 init_expr = decl.init
@@ -582,11 +621,15 @@ class Translator:
             if signal_info is None:
                 raise CompileError(f"async completion signal {stmt.signal!r} unknown")
         info = self.circ.new_exec(stmt.name, signal_info, stmt.loc)
+        self._segment.exec_slots.append(info.slot)
         info.stmt = stmt
-        done = self.circ.input_net(f"exec{info.slot}.done", stmt.loc)
+        # numbered within its instance: migration keys registers by label,
+        # so an edit elsewhere in the program must not renumber these
+        tag = f"exec{len(self._segment.exec_slots) - 1}"
+        done = self.circ.input_net(f"{tag}.done", stmt.loc)
         info.done_net = done
 
-        reg = self.circ.register(f"exec{info.slot}.sel", False, stmt.loc)
+        reg = self._register(f"{tag}.sel", stmt.loc)
         sel = lit(reg)
         done_fire = self._and([sel, ctx.res, lit(done)], "exec.done", stmt.loc)
         hold_old = self._and(
@@ -610,7 +653,7 @@ class Translator:
         scope = self._snapshot()
 
         finish_action = self._spec_action_net(
-            done_fire, ("exec_finish", info.slot), f"exec{info.slot}.finish", stmt.loc
+            done_fire, ("exec_finish", info.slot), f"{tag}.finish", stmt.loc
         )
         if signal_info is not None:
             self.circ.or_into(signal_info.status_net, done_fire)
@@ -627,14 +670,14 @@ class Translator:
         )
         if kill_fire != self.FALSE:
             kill_action = self._spec_action_net(
-                kill_fire, ("exec_kill", info.slot), f"exec{info.slot}.kill", stmt.loc
+                kill_fire, ("exec_kill", info.slot), f"{tag}.kill", stmt.loc
             )
             info.kill_action = kill_action
             # a completing invocation must finish before a (vacuous) kill
             self.circ.add_dep(kill_action, finish_action)
 
         start_action = self._spec_action_net(
-            ctx.go, ("exec_start", info.slot, scope), f"exec{info.slot}.start", stmt.loc
+            ctx.go, ("exec_start", info.slot, scope), f"{tag}.start", stmt.loc
         )
         info.start_action = start_action
         if kill_action is not None:
@@ -650,13 +693,13 @@ class Translator:
         if stmt.on_suspend is not None or stmt.on_resume is not None:
             susp_fire = self._and([ctx.susp, sel], "exec.suspfire", stmt.loc)
             info.suspend_action = self._spec_action_net(
-                susp_fire, ("exec_susp", info.slot), f"exec{info.slot}.susp", stmt.loc
+                susp_fire, ("exec_susp", info.slot), f"{tag}.susp", stmt.loc
             )
-            susp_reg = self.circ.register(f"exec{info.slot}.suspended", False, stmt.loc)
+            susp_reg = self._register(f"{tag}.suspended", stmt.loc)
             self.circ.set_register_input(susp_reg, susp_fire)
             res_fire = self._and([lit(susp_reg), ctx.res, sel], "exec.resfire", stmt.loc)
             info.resume_action = self._spec_action_net(
-                res_fire, ("exec_resume", info.slot), f"exec{info.slot}.resume", stmt.loc
+                res_fire, ("exec_resume", info.slot), f"{tag}.resume", stmt.loc
             )
 
         k1 = self._or(
@@ -664,11 +707,6 @@ class Translator:
             "exec.k1",
         )
         return Ifc(sel, {0: done_fire, 1: k1})
-
-    def _tr_linkedrun(self, stmt: "A.LinkedRun", ctx: Ctx) -> Ifc:
-        from repro.compiler.link import link_instance
-
-        return link_instance(self, stmt, ctx)
 
     # ------------------------------------------------------------------
     # finalization
@@ -708,18 +746,11 @@ class Translator:
 
 
 def translate_module(
-    module: A.Module,
-    body: A.Stmt,
-    loop_duplication: str = AUTO,
-    template_options: Optional[tuple] = None,
+    module: A.Module, body: A.Stmt, loop_duplication: str = AUTO
 ) -> Circuit:
-    """Translate an expanded module body into a reactive-machine circuit.
-
-    ``template_options`` — (optimize, check_cycles) flags forwarded to
-    sub-circuit template builds when the body contains ``LinkedRun``
-    nodes."""
+    """Translate an expanded module body into a reactive-machine circuit."""
     circ = Circuit(module.name)
-    tr = Translator(circ, loop_duplication, template_options)
+    tr = Translator(circ, loop_duplication)
 
     # Boot wiring: GO is 1 at the first reaction only; RES afterwards.
     boot_reg = circ.register("boot", False)

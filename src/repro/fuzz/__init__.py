@@ -9,8 +9,8 @@ The pieces:
 * :mod:`repro.fuzz.lifecycle` — op-script generation (reactions,
   snapshots, journal replay, crash injection, mailbox admission,
   reaction budgets, hot upgrade);
-* :mod:`repro.fuzz.harness` — runs each case under every backend × link
-  configuration and asserts observational parity;
+* :mod:`repro.fuzz.harness` — runs each case under every backend and
+  asserts observational parity;
 * :mod:`repro.fuzz.shrink` — deterministic delta-debugging minimizer;
 * :mod:`repro.fuzz.corpus` — minimal repros under ``tests/corpus/``,
   replayed by tier-1;

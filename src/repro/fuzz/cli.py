@@ -86,7 +86,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.fuzz",
         description="whole-program differential fuzzing of the reactive "
-        "runtime (backends x link modes x lifecycle ops)",
+        "runtime (backends x lifecycle ops)",
     )
     parser.add_argument(
         "--seed", type=int, default=0, help="base seed (case i uses seed+i)"

@@ -33,7 +33,7 @@ from __future__ import annotations
 import random
 from typing import List, Optional, Tuple
 
-from repro.compiler.compile import CompileOptions, compile_cached
+from repro.compiler.compile import compile_cached
 from repro.errors import HipHopError
 from repro.lang import ast as A
 from repro.lang import expr as E
@@ -409,13 +409,10 @@ def _build(rng: random.Random, pure: bool, max_depth: int) -> FuzzProgram:
 
 
 def _validate(program: FuzzProgram) -> None:
-    """Reject a candidate unless it compiles under both link modes (v1
-    and v2) and survives a pretty-print → parse round trip."""
-    table = program.table()
-    for link in (False, True):
-        options = CompileOptions(link=link)
-        compile_cached(program.main, table, options)
-        compile_cached(program.v2_main, program.v2_table(), options)
+    """Reject a candidate unless v1 and v2 compile and the program
+    survives a pretty-print → parse round trip."""
+    compile_cached(program.main, program.table())
+    compile_cached(program.v2_main, program.v2_table())
     source = "\n\n".join(program.sources())
     reparsed = list(parse_program(source, filename="<fuzz>"))
     if reparsed != program.modules:

@@ -1,20 +1,18 @@
 """The ReactorFuzz differential harness.
 
 One fuzz *case* = (program, lifecycle plan).  :func:`run_case` drives
-the case through every backend configuration —
+the case through every backend —
 
-    {worklist, levelized, sparse, lockstep} × {link off, link on}
+    worklist, levelized, sparse, lockstep
 
-(the lockstep configurations only when the compiled plan is pure, since
-the bit-parallel word engine refuses impure plans) — and asserts that
-every configuration observed *the same thing*:
+(lockstep only when the compiled plan is pure, since the bit-parallel
+word engine refuses impure plans) — and asserts that every backend
+observed *the same thing*:
 
 * per-instant emitted signals, pause/termination flags, and an
   interface-level state digest;
-* fatal errors (causality deadlocks, budget violations that escape) —
-  byte-identical within a link group, same exception type across link
-  groups (net numbering legitimately differs between linked and inlined
-  circuits);
+* fatal errors (causality deadlocks, budget violations that escape),
+  byte-identical;
 * snapshot round trips restore to byte-identical payloads;
 * journal replays of the supervisor checkpoint reconverge with the live
   machine's state digest;
@@ -24,14 +22,8 @@ every configuration observed *the same thing*:
 Pure programs are additionally replayed through the behavioral
 interpreter (:class:`repro.interp.Interpreter`) as a semantics oracle.
 
-Observations after a hot ``upgrade`` op are only compared *within* a
-link group: inlined compiles degenerate to a single migration segment
-and legitimately carry less state across the edit than linked compiles
-(see ``docs/``, state migration), so cross-link comparison stops at the
-upgrade boundary.
-
 Any violation raises :class:`FuzzFailure` naming the divergent
-configuration and op index; the runner (``repro.fuzz.cli``) shrinks the
+backend and op index; the runner (``repro.fuzz.cli``) shrinks the
 case and writes a corpus repro.
 """
 
@@ -41,7 +33,7 @@ import hashlib
 import json
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.compiler.compile import CompileOptions, compile_cached
+from repro.compiler.compile import compile_cached
 from repro.errors import (
     CausalityError,
     FleetReactionError,
@@ -60,14 +52,9 @@ from repro.fuzz.gen import HOST_GLOBALS, FuzzProgram
 
 __all__ = ["FuzzFailure", "Driver", "run_case", "CaseResult", "CONFIGS"]
 
-SCALAR_BACKENDS = ("worklist", "levelized", "sparse")
-#: every configuration a case runs under; reference is the first
-CONFIGS: Tuple[Tuple[str, bool], ...] = tuple(
-    (backend, link)
-    for link in (False, True)
-    for backend in SCALAR_BACKENDS + ("lockstep",)
-)
-REFERENCE = ("worklist", False)
+#: every backend a case runs under; reference is the first
+CONFIGS: Tuple[str, ...] = ("worklist", "levelized", "sparse", "lockstep")
+REFERENCE = CONFIGS[0]
 
 
 class FuzzFailure(AssertionError):
@@ -77,7 +64,7 @@ class FuzzFailure(AssertionError):
         self,
         kind: str,
         detail: str,
-        config: Optional[Tuple[str, bool]] = None,
+        config: Optional[str] = None,
         op_index: Optional[int] = None,
     ):
         self.kind = kind
@@ -86,7 +73,7 @@ class FuzzFailure(AssertionError):
         self.op_index = op_index
         where = ""
         if config is not None:
-            where = f" [backend={config[0]}, link={config[1]}]"
+            where = f" [backend={config}]"
         if op_index is not None:
             where += f" [op #{op_index}]"
         super().__init__(f"{kind}{where}: {detail}")
@@ -106,8 +93,8 @@ def obs_digest(machine: ReactiveMachine) -> str:
     """Interface-level digest of a machine's between-instant state:
     presence/pre flags and values of every interface signal, the
     termination flag, and the reaction count.  Deliberately *not* the
-    positional ``state_digest`` — register layouts differ across link
-    modes; the interface view is what the paper's semantics defines."""
+    positional ``state_digest``: the interface view is what the paper's
+    semantics defines."""
     machine._ensure_scalar()
     items = []
     for name in sorted(machine.compiled.circuit.interface):
@@ -127,15 +114,10 @@ class Driver:
     """Runs one (program, plan) under one backend configuration,
     recording an observation trace the comparator diffs."""
 
-    def __init__(self, program: FuzzProgram, backend: str, link: bool):
+    def __init__(self, program: FuzzProgram, backend: str):
         self.program = program
         self.backend = backend
-        self.link = link
-        self.config = (backend, link)
-        self.options = CompileOptions(link=link)
-        self.compiled = compile_cached(
-            program.main, program.table(), self.options
-        )
+        self.compiled = compile_cached(program.main, program.table())
         if backend == "lockstep":
             # a size-1 lockstep fleet: reactions run on the bit-parallel
             # word engine until a scalar-only feature (journal, mailbox,
@@ -184,9 +166,7 @@ class Driver:
 
     def _fresh_machine(self) -> ReactiveMachine:
         compiled = (
-            compile_cached(
-                self.program.v2_main, self.program.v2_table(), self.options
-            )
+            compile_cached(self.program.v2_main, self.program.v2_table())
             if self.upgraded
             else self.compiled
         )
@@ -355,7 +335,7 @@ class Driver:
             raise FuzzFailure(
                 "snapshot-roundtrip",
                 f"restore+snapshot changed fields {diff}",
-                self.config,
+                self.backend,
                 index,
             )
         self._record(["snap", index, obs_digest(self.machine)])
@@ -373,7 +353,7 @@ class Driver:
             raise FuzzFailure(
                 "journal-replay-divergence",
                 f"cold rebuild digest {rebuilt} != live {live}",
-                self.config,
+                self.backend,
                 index,
             )
         self._record(["replay", index, obs_digest(self.machine)])
@@ -420,9 +400,7 @@ class Driver:
 
     def _op_upgrade(self, index: int) -> None:
         sup = self._ensure_sup()
-        v2 = compile_cached(
-            self.program.v2_main, self.program.v2_table(), self.options
-        )
+        v2 = compile_cached(self.program.v2_main, self.program.v2_table())
         fresh = ReactiveMachine(
             v2,
             host_globals=dict(HOST_GLOBALS),
@@ -439,22 +417,6 @@ class Driver:
 # ---------------------------------------------------------------------------
 # cross-configuration comparison
 # ---------------------------------------------------------------------------
-
-
-def _weak_view(obs: List[List[Any]]) -> List[List[Any]]:
-    """Projection used across link groups: stop at the upgrade boundary
-    (migration carries different state under inline vs link) and reduce
-    fatal errors to their exception type (net numbering differs)."""
-    out: List[List[Any]] = []
-    for entry in obs:
-        if entry[0] == "upgrade":
-            out.append(["upgrade", entry[1]])
-            break
-        if entry[0] == "fatal":
-            out.append(["fatal", entry[1], entry[2][0]])
-        else:
-            out.append(entry)
-    return out
 
 
 def _diff_index(a: List[Any], b: List[Any]) -> str:
@@ -508,75 +470,42 @@ def _check_oracle(program: FuzzProgram, reference: Driver) -> bool:
 def run_case(program: FuzzProgram, plan: Dict[str, Any]) -> CaseResult:
     """Run one case under every configuration and compare.  Raises
     :class:`FuzzFailure` on any differential violation."""
-    drivers: Dict[Tuple[str, bool], Driver] = {}
+    drivers: Dict[str, Driver] = {}
     lockstep_ok = compile_cached(
-        program.main, program.table(), CompileOptions(link=False)
+        program.main, program.table()
     ).evaluation_plan().is_pure
-    for backend, link in CONFIGS:
+    for backend in CONFIGS:
         if backend == "lockstep" and not lockstep_ok:
             continue
         try:
-            driver = Driver(program, backend, link)
+            driver = Driver(program, backend)
         except MachineError as err:
             if backend == "lockstep":
                 # word-plan rejection (e.g. cyclic-but-constructive
-                # plans): scalar configs still cover this case
+                # plans): scalar backends still cover this case
                 continue
-            raise FuzzFailure(
-                "construction", str(err), (backend, link), None
-            )
+            raise FuzzFailure("construction", str(err), backend, None)
         driver.run_plan(plan)
-        drivers[(backend, link)] = driver
+        drivers[backend] = driver
 
     reference = drivers[REFERENCE]
     for config, driver in drivers.items():
         if config == REFERENCE:
             continue
-        if config[1] == REFERENCE[1]:
-            if driver.obs != reference.obs:
-                raise FuzzFailure(
-                    "trace-divergence",
-                    _diff_index(driver.obs, reference.obs),
-                    config,
-                    None,
-                )
-            if driver.ledger != reference.ledger:
-                raise FuzzFailure(
-                    "effect-ledger-divergence",
-                    _diff_index(driver.ledger, reference.ledger),
-                    config,
-                    None,
-                )
-        else:
-            mine, ref = _weak_view(driver.obs), _weak_view(reference.obs)
-            if mine != ref:
-                raise FuzzFailure(
-                    "cross-link-divergence",
-                    _diff_index(mine, ref),
-                    config,
-                    None,
-                )
-            if not driver.upgraded and driver.ledger != reference.ledger:
-                raise FuzzFailure(
-                    "effect-ledger-divergence",
-                    _diff_index(driver.ledger, reference.ledger),
-                    config,
-                    None,
-                )
-
-    # strict within the link=True group too (reference there is worklist)
-    linked_ref = drivers.get(("worklist", True))
-    if linked_ref is not None:
-        for config, driver in drivers.items():
-            if config[1] is not True or config == ("worklist", True):
-                continue
-            if driver.obs != linked_ref.obs:
-                raise FuzzFailure(
-                    "trace-divergence",
-                    _diff_index(driver.obs, linked_ref.obs),
-                    config,
-                    None,
-                )
+        if driver.obs != reference.obs:
+            raise FuzzFailure(
+                "trace-divergence",
+                _diff_index(driver.obs, reference.obs),
+                config,
+                None,
+            )
+        if driver.ledger != reference.ledger:
+            raise FuzzFailure(
+                "effect-ledger-divergence",
+                _diff_index(driver.ledger, reference.ledger),
+                config,
+                None,
+            )
 
     oracle_checked = False
     if program.pure:

@@ -95,7 +95,8 @@ def _cartesian(code_sets: List[FrozenSet[int]]):
 
 
 def _clone(stmt: A.Stmt) -> A.Stmt:
-    """Rebuild the kernel tree with fresh node objects at every position."""
+    """Rebuild the kernel tree with fresh node objects at every position,
+    without instance markers."""
     if isinstance(stmt, A.Nothing):
         return A.Nothing(stmt.loc)
     if isinstance(stmt, A.Pause):
@@ -120,6 +121,8 @@ def _clone(stmt: A.Stmt) -> A.Stmt:
         return A.Trap(stmt.label, _clone(stmt.body), stmt.loc)
     if isinstance(stmt, A.Local):
         return A.Local(list(stmt.decls), _clone(stmt.body), stmt.loc)
+    if isinstance(stmt, A.Instance):
+        return _clone(stmt.body)  # the marker only matters to the compiler
     return stmt  # unsupported nodes are rejected later by _check
 
 

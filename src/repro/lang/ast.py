@@ -7,6 +7,8 @@ circuit translator understands:
     nothing, pause, emit, atom, seq, par, loop, if, suspend,
     abort (strong), trap/exit, local signal, exec (async)
 
+plus the transparent ``Instance`` marker around each inlined ``run`` body.
+
 Surface-only statements: ``halt``, ``sustain``, ``await``, ``every``,
 ``do/every``, ``loopeach``, ``weakabort``, ``run``.
 
@@ -17,7 +19,7 @@ All nodes support structural equality (for parser/pretty round-trip tests),
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.errors import SourceLocation
 from repro.lang import expr as E
@@ -789,59 +791,48 @@ class Run(Stmt):
         return f"Run({self._module_key()}, bindings={self.bindings!r})"
 
 
-class LinkedRun(Stmt):
-    """A ``run M(...)`` resolved for *sub-circuit linking* instead of
-    inlining: the callee compiles once to a relocatable template circuit
-    (see :mod:`repro.compiler.link`) and each instantiation splices a
-    renumbered copy in O(interface) work.
+class Instance(Stmt):
+    """One inlined ``run M(...)``: M's expanded body, renamed into the
+    caller's scope, marked so the translator can record the state it
+    creates as one instance segment (``/M#0``, nested ``/M#0/N#1``; see
+    :class:`repro.compiler.netlist.StateSegment`).
 
-    Produced by the expander under ``CompileOptions(link=True)`` for
-    modules that qualify (no ``var`` parameters, no free trap labels, no
-    free signal names, no frame variables introduced by nested inlining).
-
-    ``bindings`` is the *total* interface map (every interface signal name
-    → caller-scope name); ``body`` is the callee's expanded kernel body in
-    callee-side names; ``codes``/``sensitive``/``emitted`` are facts
-    precomputed at expansion time so validation and reincarnation analysis
-    need not reopen the body.
+    Produced by the expander; it behaves exactly as its body does, and
+    every analysis sees through it.  ``spliced`` marks an instance that
+    stands as an item of a sequence while its body (under any nested
+    instance markers) is a sequence too: the translator takes those
+    items as items of the enclosing sequence, as the expander flattens
+    nested sequences, so the marker adds no gate.
     """
 
     KERNEL = True
-    __slots__ = ("module", "bindings", "body", "codes", "sensitive", "emitted")
+    __slots__ = ("module", "body", "spliced")
 
     def __init__(
         self,
-        module: "Module",
-        bindings: Dict[str, str],
+        module: str,
         body: Stmt,
-        codes: FrozenSet,
-        sensitive: bool,
-        emitted: FrozenSet,
         loc: Optional[SourceLocation] = None,
+        spliced: bool = False,
     ):
         super().__init__(loc)
         self.module = module
-        self.bindings = dict(bindings)
         self.body = body
-        self.codes = frozenset(codes)
-        self.sensitive = sensitive
-        self.emitted = frozenset(emitted)
+        self.spliced = spliced
 
-    # The body is callee-side: caller traversals must not descend into it
-    # (its names live in the callee's scope, not the caller's).
+    def children(self) -> Iterable[Stmt]:
+        return (self.body,)
 
     def rename_signals(self, mapping: Dict[str, str]) -> "Stmt":
-        bindings = {k: mapping.get(v, v) for k, v in self.bindings.items()}
-        return LinkedRun(
-            self.module, bindings, self.body, self.codes,
-            self.sensitive, self.emitted, self.loc,
+        return Instance(
+            self.module, self.body.rename_signals(mapping), self.loc, self.spliced
         )
 
     def _key(self) -> tuple:
-        return (self.module.name, tuple(sorted(self.bindings.items())))
+        return (self.module, self.body, self.spliced)
 
     def __repr__(self) -> str:
-        return f"LinkedRun({self.module.name}, bindings={self.bindings!r})"
+        return f"Instance({self.module}, {self.body!r})"
 
 
 class ExecContext:

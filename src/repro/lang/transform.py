@@ -2,7 +2,7 @@
 
 When a module with ``var`` parameters is instantiated twice
 (``run Button(d=TryDelay, ...)`` twice in the pillbox), each instance needs
-its own frame slot for ``d``.  The linker alpha-renames the module's
+its own frame slot for ``d``.  The expander alpha-renames the module's
 declared variables to fresh frame names; this module implements the
 underlying expression/statement renaming.
 """

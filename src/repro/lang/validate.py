@@ -92,11 +92,10 @@ def instant_codes(stmt: A.Stmt) -> FrozenSet:
         return frozenset()
     if isinstance(stmt, A.DoEvery):
         return frozenset(instant_codes(stmt.body) - {TERMINATE})
-    if isinstance(stmt, A.LinkedRun):
-        # Precomputed at expansion time from the callee's expanded body.
-        return stmt.codes
+    if isinstance(stmt, A.Instance):
+        return instant_codes(stmt.body)
     if isinstance(stmt, A.Run):
-        # Unlinked run: be conservative (may terminate instantly).
+        # Unexpanded run: be conservative (may terminate instantly).
         return frozenset({TERMINATE})
     raise ValidationError(f"cannot analyse {type(stmt).__name__}")
 
@@ -236,30 +235,12 @@ class Validator:
                 # `this` is bound inside async bodies; signals still checked
                 self._check_expr(expr, scope, loc)
             return
-        if isinstance(stmt, A.LinkedRun):
-            # The callee body was validated in its own scope when the
-            # template facts were computed; here only the boundary is
-            # checked: every bound caller signal exists, and interface
-            # signals the callee emits must not land on pure inputs.
-            for iface_name, caller_name in sorted(stmt.bindings.items()):
-                decl = scope.find(caller_name)
-                if decl is None:
-                    self.error(
-                        f"run {stmt.module.name}: unknown signal "
-                        f"{caller_name!r} bound to {iface_name!r}",
-                        loc,
-                    )
-                elif iface_name in stmt.emitted and decl.direction == IN:
-                    self.error(
-                        f"run {stmt.module.name}: callee emits {iface_name!r} "
-                        f"but it is bound to pure input signal {caller_name!r} "
-                        "(declare it inout if both sides set it)",
-                        loc,
-                    )
+        if isinstance(stmt, A.Instance):
+            self._check(stmt.body, scope, traps)
             return
         if isinstance(stmt, A.Run):
             self.error(
-                "run statement survived expansion (validate after linking)", loc
+                "run statement survived expansion (validate after expansion)", loc
             )
             return
         self.error(f"unknown statement {type(stmt).__name__}", loc)

@@ -15,14 +15,13 @@ positional state slot to a *stable key*
 
     ``(segment path, kind, label, occurrence)``
 
-where the segment path comes from the sub-circuit state segments the
-linker records (``/M#0``, nested ``/M#0/N#2``; state owned by the
-top-level body is the implicit spine ``/``).  Because each linked
-instance owns its own path, an edit inside one module only perturbs keys
-*inside that module's segments*; every other instance's keys — and the
-spine's — are unchanged, so their state carries over byte-exactly.
-Inlined compiles degenerate to a single spine segment: migration still
-works, but any edit shifts the whole key space and carries less.
+where the segment path comes from the state segment the compiler
+records for each ``run`` instance (``/M#0``, nested ``/M#0/N#2``, where
+``k`` numbers the instances of ``M`` within the enclosing one; state
+owned by the top-level body is the implicit spine ``/``).  Because each
+instance owns its own path, an edit inside one module only perturbs
+keys *inside its instances' segments*; every other instance's keys — and
+the spine's — are unchanged, so their state carries over byte-exactly.
 
 :func:`migrate_snapshot` then maps a v1 snapshot onto v2: slots whose
 keys exist on both sides carry their v1 values verbatim, slots new in v2

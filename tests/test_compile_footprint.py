@@ -102,7 +102,7 @@ class TestScopeTables:
         # the initializer is evaluated in the enclosing scope
         assert init is before
 
-    def test_linked_instances_share_a_table_each(self):
+    def test_inlined_instances_share_the_callers_table(self):
         table = parse_program(
             """
             module Worker(in I, out O = 0) {
@@ -113,13 +113,13 @@ class TestScopeTables:
             }
             """
         )
-        compiled = compile_module(table.get("Main"), table, CompileOptions(link=True))
-        assert len(compiled.circuit.segments) == 2
+        compiled = compile_module(table.get("Main"), table)
+        segments = compiled.circuit.segments
+        assert [seg.path for seg in segments] == ["/Worker#0", "/Worker#1"]
+        assert all(len(seg.registers) == 1 for seg in segments)
+        # each body is renamed into Main's scope, so both read its table
         tables = {id(t): t for _, t in _tables(compiled.circuit)}
-        assert sorted(tables.values(), key=lambda t: t["I"]) == [
-            {"I": 0, "O": 2},
-            {"I": 1, "O": 3},
-        ]
+        assert list(tables.values()) == [{"A": 0, "B": 1, "X": 2, "Y": 3}]
         machine = ReactiveMachine(compiled)
         assert dict(machine.react({"A": True})) == {"X": 1}
         assert dict(machine.react({"A": True, "B": True})) == {"X": 2, "Y": 1}

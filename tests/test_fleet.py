@@ -86,6 +86,31 @@ class TestCompileCache:
         a.react({"go": True})
         assert log_a == ["fired"] and log_b == []
 
+    def test_lru_holds_its_bound_and_evicts_the_least_recent(self):
+        """One module past the bound evicts the least recently used
+        entry.  The first module compiled survives because it was hit
+        just before the overflow; the second, untouched since it was
+        compiled, goes and compiles again."""
+        from repro.compiler.compile import COMPILE_CACHE_SIZE
+
+        modules = [
+            parse_module(f"module M{i}(in A, out O) {{ emit O }}")
+            for i in range(COMPILE_CACHE_SIZE + 1)
+        ]
+        first = compile_cached(modules[0])
+        for module in modules[1:-1]:
+            compile_cached(module)
+        assert compile_cached(modules[0]) is first
+        compile_cached(modules[-1])
+        stats = compile_cache_stats()
+        assert stats["entries"] == COMPILE_CACHE_SIZE
+        assert stats["misses"] == COMPILE_CACHE_SIZE + 1
+        assert compile_cached(modules[0]) is first
+        assert compile_cache_stats()["misses"] == COMPILE_CACHE_SIZE + 1
+        compile_cached(modules[1])
+        assert compile_cache_stats()["misses"] == COMPILE_CACHE_SIZE + 2
+        assert compile_cache_stats()["entries"] == COMPILE_CACHE_SIZE
+
     def test_options_are_part_of_the_key(self):
         from repro import CompileOptions
 

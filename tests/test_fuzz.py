@@ -45,7 +45,7 @@ def test_corpus_replay(path):
         # crash-consistency repros additionally pin that the lifecycle
         # completes without any fatal error (agreement alone would also
         # hold if every configuration crashed identically)
-        driver = Driver(program, "worklist", False)
+        driver = Driver(program, "worklist")
         driver.run_plan(plan)
         assert not any(entry[0] == "fatal" for entry in driver.obs)
 

@@ -1,14 +1,14 @@
-"""Linked instantiation parity: sub-circuit linking
-(``CompileOptions(link=True)``, :mod:`repro.compiler.link`) must be
-observationally indistinguishable from the seed's run-inlining.
+"""``run`` instance parity.
 
-The harness wraps random worker bodies in the instantiation shapes that
-exercise every linked wire: two parallel instances (shared status
-splicing), and a *sequenced* third instance that only starts after both
-terminate — the completion-code (K0/K1) wires, which a non-terminating
-worker never exercises.  On top of the property, plan artifacts must
-round-trip (same trace and state digest as the directly-compiled
-module), byte-identical across cache-cold recompiles, and the linked
+``run`` compiles one way: the expander inlines the callee's body, marked
+as an instance so the translator records its state segment.  The
+harness wraps random worker bodies in the instantiation shapes that
+exercise every instance boundary: two parallel instances (both emitting
+into shared caller signals), and a *sequenced* third instance that only
+starts after both terminate — the completion-code (K0/K1) wires, which a
+non-terminating worker never exercises.  Plan artifacts must round-trip
+(same trace and state digest as the directly-compiled module) and be
+byte-identical across cache-cold recompiles, segments included, and a
 compile must agree with itself across every evaluation backend,
 including the bit-parallel lockstep fleet.
 """
@@ -17,7 +17,6 @@ from hypothesis import HealthCheck, given, settings
 
 from repro import (
     CausalityError,
-    CompileOptions,
     ReactiveMachine,
     clear_compile_cache,
     compile_module,
@@ -28,7 +27,6 @@ from repro.compiler.compile import (
     hydrate_plan_artifact,
     plan_artifact,
 )
-from repro.compiler.link import clear_link_cache, link_cache_stats
 from repro.lang import ast as A
 from repro.lang.signals import SignalDecl
 from repro.runtime.fleet import MachineFleet
@@ -46,7 +44,7 @@ _IFACE = [SignalDecl(n, "in") for n in INPUTS] + [
 
 
 def _score_table(worker: A.Module):
-    """A table instantiating ``worker`` in the shapes linking must get
+    """A table instantiating ``worker`` in the shapes instances must get
     right: ``fork { run } par { run }`` then, once both terminate, a
     sequenced third ``run``."""
     worker = A.Module("Gen", worker.interface, worker.body)
@@ -83,39 +81,16 @@ def _observe(compiled, trace):
 
 @settings(**_SETTINGS)
 @given(pure_modules(), input_traces())
-def test_linked_matches_inlined_on_random_workers(worker, trace):
-    """Identical traces — or identical causality errors — from the
-    linked and the inlined compile of the same instantiation harness."""
-    score, table = _score_table(worker)
-    clear_link_cache()
-    inlined = compile_module(score, table, CompileOptions())
-    linked = compile_module(score, table, CompileOptions(link=True))
-
-    ref, ref_err = _observe(inlined, trace)
-    got, got_err = _observe(linked, trace)
-    assert (ref_err is None) == (got_err is None), (
-        f"causality reporting diverged\n{worker.body!r}\n{trace}\n"
-        f"inlined={ref_err}\nlinked={got_err}"
-    )
-    assert ref == got, (
-        f"trace divergence\n{worker.body!r}\ninputs={trace}\n"
-        f"inlined={ref}\nlinked={got}"
-    )
-
-
-@settings(**_SETTINGS)
-@given(pure_modules(), input_traces())
 def test_linked_backends_agree(worker, trace):
-    """One linked compile, every scalar backend: identical observations
-    and identical end-of-trace state digests."""
+    """One compile, every scalar backend: identical observations and
+    identical end-of-trace state digests."""
     score, table = _score_table(worker)
-    clear_link_cache()
-    linked = compile_module(score, table, CompileOptions(link=True))
+    compiled = compile_module(score, table)
 
     results = {}
     for backend in ("worklist", "levelized", "sparse"):
         try:
-            machine = ReactiveMachine(linked, backend=backend)
+            machine = ReactiveMachine(compiled, backend=backend)
             outputs = [dict(machine.react({n: True for n in step}))
                        for step in trace]
             results[backend] = (outputs, machine.state_digest(), None)
@@ -124,7 +99,7 @@ def test_linked_backends_agree(worker, trace):
     reference = results["worklist"]
     for backend in ("levelized", "sparse"):
         assert results[backend] == reference, (
-            f"{backend} diverged from worklist on a linked compile\n"
+            f"{backend} diverged from worklist\n"
             f"{worker.body!r}\n{trace}\n{results[backend]}\n{reference}"
         )
 
@@ -133,25 +108,24 @@ def test_linked_backends_agree(worker, trace):
           suppress_health_check=[HealthCheck.too_slow])
 @given(pure_modules(), input_traces())
 def test_plan_artifact_roundtrip(worker, trace):
-    """Hydrating a linked plan artifact yields a machine with the same
-    trace and the same state digest as the directly-compiled module."""
+    """Hydrating a plan artifact yields a machine with the same trace
+    and the same state digest as the directly-compiled module."""
     score, table = _score_table(worker)
-    clear_link_cache()
     clear_hydrate_cache()
-    linked = compile_module(score, table, CompileOptions(link=True))
-    direct, direct_err = _observe(linked, trace)
+    compiled = compile_module(score, table)
+    direct, direct_err = _observe(compiled, trace)
 
     try:
-        blob = plan_artifact(score, table, CompileOptions(link=True))
+        blob = plan_artifact(score, table)
     except Exception:
         return  # unrenderable worker: artifacts are refused, not wrong
     hydrated = hydrate_plan_artifact(blob)
-    assert hydrated.fingerprint == linked.fingerprint
+    assert hydrated.fingerprint == compiled.fingerprint
     got, got_err = _observe(hydrated, trace)
     assert (direct, direct_err is None) == (got, got_err is None)
     if direct_err is None:
         assert (
-            ReactiveMachine(linked).state_digest()
+            ReactiveMachine(compiled).state_digest()
             == ReactiveMachine(hydrated).state_digest()
         )
 
@@ -172,55 +146,49 @@ module Twice(in T, out O, out D) {
 def test_terminating_instances_sequence_correctly():
     """Completion wires: the second ``run`` must start only after the
     first instance terminates, and the trailing ``emit`` only after the
-    second — identically under both compiles.  (A stamping bug that
-    mis-wires the template's K wires is invisible to non-terminating
-    workers; this pins the terminating case.)"""
+    second.  (A bug that mis-wires an instance's K wires is invisible to
+    non-terminating workers; this pins the terminating case.)"""
     table = parse_program(SEQUENCED_SRC)
-    entry = table.get("Twice")
+    compiled = compile_module(table.get("Twice"), table)
+    assert [seg.path for seg in compiled.circuit.segments] == [
+        "/Once#0", "/Once#1",
+    ]
+    machine = ReactiveMachine(compiled)
     steps = [{"T": True}, {}, {"T": True}, {}, {"T": True}, {}]
-    expected = None
-    for options in (CompileOptions(), CompileOptions(link=True)):
-        clear_link_cache()
-        compiled = compile_module(entry, table, options)
-        machine = ReactiveMachine(compiled)
-        got = []
-        for step in steps:
-            result = machine.react(step)
-            got.append((sorted(result), result.paused, result.terminated))
-        if expected is None:
-            expected = got
-            # instant 0: first Once emits O, its await arms; instant 2:
-            # T fires the await, the first instance terminates, yield
-            # pauses; instant 3: second Once starts and emits D (O as D);
-            # instant 4: its await fires, the trailing emit O runs and
-            # Twice terminates
-            emissions = [e for e, _, _ in got]
-            assert emissions == [["O"], [], [], ["D"], ["O"], []], got
-            assert got[4][2] and not got[3][2], got
-        else:
-            assert got == expected
+    got = []
+    for step in steps:
+        result = machine.react(step)
+        got.append((sorted(result), result.paused, result.terminated))
+    # instant 0: first Once emits O, its await arms; instant 2: T fires
+    # the await, the first instance terminates, yield pauses; instant 3:
+    # second Once starts and emits D (O as D); instant 4: its await
+    # fires, the trailing emit O runs and Twice terminates
+    emissions = [e for e, _, _ in got]
+    assert emissions == [["O"], [], [], ["D"], ["O"], []], got
+    assert got[4][2] and not got[3][2], got
 
 
 def test_artifact_bytes_stable_across_cold_recompiles():
     """Two artifact builds of the same source from fully cold caches —
-    fresh parse, fresh templates, fresh label counters — must be
-    byte-identical, or artifact stores would churn on every deploy."""
+    fresh parse, fresh label counters — must be byte-identical, segments
+    included, or artifact stores would churn on every deploy."""
     src = SEQUENCED_SRC
     blobs = []
     for _ in range(2):
         clear_compile_cache()
-        clear_link_cache()
         clear_hydrate_cache()
         table = parse_program(src)
-        blobs.append(
-            plan_artifact(table.get("Twice"), table, CompileOptions(link=True))
-        )
+        blobs.append(plan_artifact(table.get("Twice"), table))
     assert blobs[0] == blobs[1], "plan artifact bytes are not reproducible"
+    hydrated = hydrate_plan_artifact(blobs[0])
+    assert [seg.path for seg in hydrated.circuit.segments] == [
+        "/Once#0", "/Once#1",
+    ]
 
 
 def test_linked_lockstep_fleet_matches_scalar():
-    """The word-parallel lockstep engine over a *linked* compile tracks
-    scalar members exactly."""
+    """The word-parallel lockstep engine over a compile with ``run``
+    instances tracks scalar members exactly."""
     src = """
     module Worker(in T, in R, out O, out P) {
       loop {
@@ -235,10 +203,9 @@ def test_linked_lockstep_fleet_matches_scalar():
     }
     """
     table = parse_program(src)
-    clear_link_cache()
-    linked = compile_module(table.get("Score"), table, CompileOptions(link=True))
-    word = MachineFleet(linked, size=6, backend="lockstep")
-    scalar = MachineFleet(linked, size=6, backend="worklist")
+    compiled = compile_module(table.get("Score"), table)
+    word = MachineFleet(compiled, size=6, backend="lockstep")
+    scalar = MachineFleet(compiled, size=6, backend="worklist")
     assert word._engine is not None
     for i in range(10):
         inputs = {}
@@ -250,16 +217,5 @@ def test_linked_lockstep_fleet_matches_scalar():
         scalar.react_all(inputs)
     for member in range(6):
         assert word[member].state_digest() == scalar[member].state_digest(), (
-            f"lockstep member {member} diverged on a linked compile"
+            f"lockstep member {member} diverged"
         )
-
-
-def test_link_cache_one_template_per_module():
-    """N instantiations of one module build exactly one template."""
-    src = SEQUENCED_SRC
-    table = parse_program(src)
-    clear_link_cache()
-    compile_module(table.get("Twice"), table, CompileOptions(link=True))
-    stats = link_cache_stats()
-    assert stats["entries"] == 1 and stats["misses"] == 1, stats
-    assert stats["hits"] == 1, stats

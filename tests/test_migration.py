@@ -17,7 +17,6 @@ import json
 import pytest
 
 from repro import (
-    CompileOptions,
     ReactiveMachine,
     compile_module,
     parse_program,
@@ -30,9 +29,7 @@ from repro.runtime.migrate import (
 )
 from repro.runtime.recovery import MachineSupervisor, MemoryJournal
 
-LINK = CompileOptions(link=True)
-
-# v1: two linked Worker instances. v2 (the upgrade target) edits the
+# v1: two Worker instances. v2 (the upgrade target) edits the
 # program three ways at once — input R is REMOVED, input E and output Q
 # are ADDED, and the Score body changes (rebindings + a third instance of
 # a new module) — while the Worker body itself is untouched, so both
@@ -77,7 +74,7 @@ V2_STEPS = [{"T": True, "E": True}, {"T": True}, {"E": True}, {"T": True}]
 
 def _compiled(src, name="Score"):
     table = parse_program(src)
-    return compile_module(table.get(name), table, LINK), table
+    return compile_module(table.get(name), table), table
 
 
 def _migrated_machine(v1_machine, v1_compiled, v2_compiled):
@@ -128,6 +125,184 @@ class TestStateDescriptor:
         for table in ("registers", "signals", "counters", "execs"):
             keys = [tuple(k) for k in desc[table]]
             assert len(keys) == len(set(keys)), f"duplicate {table} keys"
+
+
+# Two levels of instances: Level2 runs Level1 twice, each Level1 runs
+# Worker twice.  A Worker owns a local signal, counters and registers.
+NESTED_SRC = """
+module Worker(in T, in R, out O, out P) {
+  signal L;
+  loop {
+    await count(2, T.now);
+    emit L;
+    if (L.now) { emit O; }
+    if (R.pre) { emit P; }
+    yield;
+  }
+}
+module Level1(in T, in R, out O, out P) {
+  fork { run Worker(...); } par { run Worker(T as R, R as T, ...); }
+}
+module Level2(in T, in R, out O, out P) {
+  fork { run Level1(...); } par { run Level1(...); }
+}
+"""
+
+#: NESTED_SRC with a third Worker in every Level1
+NESTED_V2_SRC = NESTED_SRC.replace(
+    "par { run Worker(T as R, R as T, ...); }",
+    "par { run Worker(T as R, R as T, ...); } par { run Worker(...); }",
+)
+
+NESTED_STEPS = [{"T": True}, {"R": True}, {"T": True, "R": True}, {"T": True}, {}]
+
+
+#: every kind of state on both levels: Level1 itself owns an exec, a
+#: local signal and registers beside its two Workers
+STATEFUL_SRC = """
+module Worker(in T, in R, out O, out P) {
+  signal L;
+  loop {
+    await count(2, T.now);
+    emit L;
+    if (L.now) { emit O; }
+    async { nothing(); }
+  }
+}
+module Level1(in T, in R, out O, out P) {
+  fork { async { nothing(); } }
+  par { signal M; await T.now; emit M; }
+  par { run Worker(...); }
+  par { run Worker(T as R, R as T, ...); }
+}
+module Level2(in T, in R, out O, out P) {
+  fork { run Level1(...); } par { run Level1(...); }
+}
+"""
+
+
+def _segments(src, name="Level2"):
+    compiled, _ = _compiled(src, name)
+    return compiled, compiled.circuit.segments
+
+
+def _keyed(compiled, snap):
+    """``{stable key: value}`` over every state table of ``snap``."""
+    desc = state_descriptor(compiled)
+    return {
+        tuple(key): value
+        for table in ("registers", "signals", "counters", "execs")
+        for key, value in zip(desc[table], snap[table])
+    }
+
+
+class TestInstanceSegments:
+    """Inlined ``run`` instances record their own state segments."""
+
+    def test_nested_instances_number_within_their_parent(self):
+        _, segments = _segments(NESTED_SRC)
+        assert [seg.path for seg in segments] == [
+            "/Level1#0",
+            "/Level1#0/Worker#0",
+            "/Level1#0/Worker#1",
+            "/Level1#1",
+            "/Level1#1/Worker#0",
+            "/Level1#1/Worker#1",
+        ]
+        assert [seg.module for seg in segments] == [
+            "Level1", "Worker", "Worker", "Level1", "Worker", "Worker",
+        ]
+
+    def test_state_lies_in_at_most_one_segment(self):
+        compiled, segments = _segments(STATEFUL_SRC)
+        circuit = compiled.circuit
+        for attr in ("registers", "signal_slots", "counter_slots", "exec_slots"):
+            owned = [
+                id(item) if attr == "registers" else item
+                for seg in segments
+                for item in getattr(seg, attr)
+            ]
+            assert len(owned) == len(set(owned)), f"{attr} owned twice"
+        workers = [seg for seg in segments if seg.module == "Worker"]
+        levels = [seg for seg in segments if seg.module == "Level1"]
+        for seg in workers + levels:
+            assert seg.registers and seg.signal_slots and seg.exec_slots, seg
+        for seg in workers:
+            assert seg.counter_slots, seg
+        # every instance of one module owns the same share, and nothing
+        # it owns is a machine interface signal
+        for group in (workers, levels):
+            shapes = {
+                (len(seg.registers), len(seg.signal_slots),
+                 len(seg.counter_slots), len(seg.exec_slots))
+                for seg in group
+            }
+            assert len(shapes) == 1, shapes
+        iface = {info.slot for info in circuit.interface.values()}
+        assert not iface & {s for seg in segments for s in seg.signal_slots}
+        live = {id(net) for net in circuit.nets}
+        assert all(id(reg) in live for seg in segments for reg in seg.registers)
+
+    def test_loop_duplicated_copies_get_distinct_paths(self):
+        table = parse_program(
+            NESTED_SRC
+            + """
+module Looped(in T, in R, out O, out P) {
+  loop { run Worker(...); }
+}
+"""
+        )
+        compiled = compile_module(table.get("Looped"), table)
+        segments = compiled.circuit.segments
+        # a Worker owns a local signal, so the loop body is translated
+        # twice: one instance per copy
+        assert [seg.path for seg in segments] == ["/Worker#0", "/Worker#1"]
+        first, second = segments
+        assert first.signal_slots != second.signal_slots
+        assert not {id(r) for r in first.registers} & {id(r) for r in second.registers}
+        desc = state_descriptor(compiled)
+        paths = {key[0] for key in desc["signals"]}
+        assert {"/Worker#0", "/Worker#1"} <= paths
+
+    def test_every_key_survives_adding_an_instance(self):
+        """A third Worker in each Level1 moves no v1 key, exec registers
+        included: an exec is numbered within its instance."""
+        v2_src = STATEFUL_SRC.replace(
+            "  par { run Worker(T as R, R as T, ...); }\n}",
+            "  par { run Worker(T as R, R as T, ...); }\n"
+            "  par { run Worker(...); }\n}",
+        )
+        keys = []
+        for src in (STATEFUL_SRC, v2_src):
+            desc = state_descriptor(_compiled(src, "Level2")[0])
+            keys.append({
+                tuple(key)
+                for table in ("registers", "signals", "counters", "execs")
+                for key in desc[table]
+            })
+        v1_keys, v2_keys = keys
+        assert v1_keys < v2_keys, sorted(v1_keys - v2_keys)
+
+    def test_adding_an_instance_carries_every_other_byte_exactly(self):
+        """v2 runs a third Worker in each Level1.  Numbering within the
+        enclosing instance keeps every v1 Worker's keys, so all their
+        state lands on v2 unchanged and nothing is dropped."""
+        v1, _ = _compiled(NESTED_SRC, "Level2")
+        v2, _ = _compiled(NESTED_V2_SRC, "Level2")
+        machine = ReactiveMachine(v1)
+        for step in NESTED_STEPS:
+            machine.react(step)
+        target, report = _migrated_machine(machine, v1, v2)
+        assert not report.dropped, report.dropped
+
+        before = _keyed(v1, machine.snapshot())
+        after = _keyed(v2, target.snapshot())
+        workers = {
+            key: value for key, value in before.items() if "/Worker#" in key[0]
+        }
+        assert any(workers.values()), "the v1 Workers hold no state to carry"
+        assert {key: after[key] for key in workers} == workers
+        assert any(key[0].endswith("/Worker#2") for key in after)
 
 
 class TestMigrateSnapshot:
