@@ -281,6 +281,7 @@ module Looped(in T, in R, out O, out P) {
                 for key in desc[table]
             })
         v1_keys, v2_keys = keys
+        assert ("/Level1#1/Worker#1", "reg", "exec0.sel", 0) in v1_keys
         assert v1_keys < v2_keys, sorted(v1_keys - v2_keys)
 
     def test_adding_an_instance_carries_every_other_byte_exactly(self):
